@@ -27,7 +27,7 @@ from .adjoint import (adjoint_identity_check, nullspace_residual,
 from .electron import (NoSignChange, SolverFailure,
                        auxiliary_U_cathode_slope, auxiliary_U_solve_gap,
                        boundary_functional, critical_gamma, sparking_voltage)
-from .grid import RadialGrid
+from .grid import MIN_NODES, RadialGrid
 from .model import Parameters, g_fn, harmonic_H, in_gamma_region
 from . import continuation, steady
 
@@ -62,6 +62,11 @@ class RunConfig:
     h_min: float = 1e-6
     h_max: float = 0.1
     out: str = ""
+
+    def __post_init__(self):
+        if self.grid_n < MIN_NODES:
+            raise UsageError(f"grid_n must be at least {MIN_NODES}, "
+                             f"got {self.grid_n}")
 
     def parameters(self) -> Parameters:
         return Parameters(a=self.a, b=self.b, gamma=self.gamma,
@@ -109,8 +114,6 @@ def load_config(path: str) -> RunConfig:
                 raise UsageError(f"config key {key} must be a number")
             clean[key] = float(value)
     cfg = RunConfig(**clean)
-    if cfg.grid_n < 5:
-        raise UsageError("grid_n must be at least 5")
     try:
         cfg.parameters()
     except ValueError as exc:
@@ -421,8 +424,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out=args.out)
         if args.grid_n is not None:
-            if args.grid_n < 5:
-                raise UsageError("grid_n must be at least 5")
             cfg = dataclasses.replace(cfg, grid_n=args.grid_n)
         if args.command == "spark":
             return cmd_spark(cfg)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import logging
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .adjoint import NullTriple, pack_triple
@@ -33,8 +32,9 @@ from .electron import boundary_B, solve_electron, sparking_voltage
 from .grid import RadialGrid, integrate
 from .model import Parameters, high_voltage_condition
 from .steady import (NEWTON_TOL, AdmissibilityError, NewtonError, State,
-                     admissibility, densities, dresidual_dlambda, jacobian,
-                     newton_solve, pack, trivial_state, unpack)
+                     admissibility, bordered_matrix, densities,
+                     dresidual_dlambda, jacobian, newton_solve, pack,
+                     trivial_state, unpack)
 
 log = logging.getLogger(__name__)
 
@@ -106,11 +106,8 @@ class HighVoltageReport:
 
 def _pack_weights(grid: RadialGrid) -> np.ndarray:
     """Quadrature weights aligned with the packed unknown layout."""
-    w = getattr(grid, "_pack_w", None)
-    if w is None:
-        w = np.concatenate([grid.r2w[1:], grid.r2w[1:], grid.r2w[1:-1]])
-        grid._pack_w = w
-    return w
+    return grid.cached("pack_weights", lambda g: np.concatenate(
+        [g.r2w[1:], g.r2w[1:], g.r2w[1:-1]]))
 
 
 def ext_inner(t1: Tangent, t2: Tangent, grid: RadialGrid) -> float:
@@ -226,12 +223,7 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     """
     J = jacobian(state, p, grid)
     col = dresidual_dlambda(state, p, grid)
-    pw = _pack_weights(grid)
-    row = pw * tangent.x
-    A = scipy.sparse.bmat(
-        [[J, col[:, None]],
-         [scipy.sparse.csr_matrix(row[None, :]), np.array([[tangent.dlam]])]],
-        format="csc")
+    A = bordered_matrix(J, col, _pack_weights(grid) * tangent.x, tangent.dlam)
     m = A.shape[0]
     try:
         lu = scipy.sparse.linalg.splu(A)
@@ -328,7 +320,6 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
     start = trivial_state(lam_dagger, grid)
     points = [BranchPoint(0.0, start, _diagnostics(start, grid, 0, 0.0))]
     warnings = []
-    termination = None
     h = h_first
     easy = 0
 
@@ -365,10 +356,6 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
     else:
         termination = Termination("MaxSteps", {
             "steps": lim["max_steps"], "s": points[-1].s,
-            "lambda": points[-1].state.lam})
-    if termination is None:
-        termination = Termination("MaxSteps", {
-            "steps": len(points) - 1, "s": points[-1].s,
             "lambda": points[-1].state.lam})
 
     return Branch(points, termination, lam_dagger, grid, warnings)

@@ -36,6 +36,17 @@ class RadialGrid:
         self.weights[0] = self.weights[-1] = 0.5 * self.delta
         # r^2-weighted quadrature weights for the volume inner product
         self.r2w = self.weights * self.r ** 2
+        self._cache = {}
+
+    def cached(self, key: str, build):
+        """Per-grid memo for derived operators and layouts (stencil
+        matrices, packed weights, the Jacobian pattern): build(self) runs
+        on the first request for key, later requests share its value."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build(self)
+            return value
 
     def __repr__(self):
         return f"RadialGrid(n={self.n})"
@@ -176,52 +187,52 @@ def solve_sl_dirichlet(grid: RadialGrid, q, f) -> GridFunction:
 def derivative_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     """Sparse first-derivative stencil on all nodes: centered in the
     interior, one-sided second order at the two ends.  Cached per grid."""
-    cached = getattr(grid, "_derivative_csr", None)
-    if cached is not None:
-        return cached
+    return grid.cached("derivative_matrix", _build_derivative_matrix)
+
+
+def _build_derivative_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     n = grid.n
     d = grid.delta
-    rows, cols, vals = [], [], []
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [-3.0 / (2 * d), 4.0 / (2 * d), -1.0 / (2 * d)]
     j = np.arange(1, n - 1)
-    rows += list(j) + list(j)
-    cols += list(j - 1) + list(j + 1)
-    vals += [-1.0 / (2 * d)] * (n - 2) + [1.0 / (2 * d)] * (n - 2)
-    rows += [n - 1] * 3
-    cols += [n - 3, n - 2, n - 1]
-    vals += [1.0 / (2 * d), -4.0 / (2 * d), 3.0 / (2 * d)]
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    grid._derivative_csr = mat
-    return mat
+    rows = np.concatenate([[0, 0, 0], j, j, [n - 1] * 3])
+    cols = np.concatenate([[0, 1, 2], j - 1, j + 1, [n - 3, n - 2, n - 1]])
+    vals = np.concatenate([
+        [-3.0 / (2 * d), 4.0 / (2 * d), -1.0 / (2 * d)],
+        np.full(n - 2, -1.0 / (2 * d)), np.full(n - 2, 1.0 / (2 * d)),
+        [1.0 / (2 * d), -4.0 / (2 * d), 3.0 / (2 * d)]])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def laplacian_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     """Sparse matrix form of radial_laplacian_all_nodes (same stencils).
     Cached per grid."""
-    cached = getattr(grid, "_laplacian_csr", None)
-    if cached is not None:
-        return cached
+    return grid.cached("laplacian_matrix", _build_laplacian_matrix)
+
+
+def _build_laplacian_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     n = grid.n
     d2 = grid.delta ** 2
-    rows, cols, vals = [], [], []
-    rows += [0] * 4
-    cols += [0, 1, 2, 3]
-    vals += [2.0 / d2, -5.0 / d2, 4.0 / d2, -1.0 / d2]
     j = np.arange(1, n - 1)
-    for off, v in ((-1, 1.0 / d2), (0, -2.0 / d2), (1, 1.0 / d2)):
-        rows += list(j)
-        cols += list(j + off)
-        vals += [v] * (n - 2)
-    rows += [n - 1] * 4
-    cols += [n - 1, n - 2, n - 3, n - 4]
-    vals += [2.0 / d2, -5.0 / d2, 4.0 / d2, -1.0 / d2]
+    ends = [2.0 / d2, -5.0 / d2, 4.0 / d2, -1.0 / d2]
+    rows = np.concatenate([[0] * 4, j, j, j, [n - 1] * 4])
+    cols = np.concatenate([[0, 1, 2, 3], j - 1, j, j + 1,
+                           [n - 1, n - 2, n - 3, n - 4]])
+    vals = np.concatenate([ends, np.full(n - 2, 1.0 / d2),
+                           np.full(n - 2, -2.0 / d2), np.full(n - 2, 1.0 / d2),
+                           ends])
     second = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     over_r = scipy.sparse.diags(2.0 / grid.r)
-    mat = (second + over_r @ derivative_matrix(grid)).tocsr()
-    grid._laplacian_csr = mat
-    return mat
+    return (second + over_r @ derivative_matrix(grid)).tocsr()
+
+
+def stencil_bands(mat: scipy.sparse.csr_matrix, width: int) -> np.ndarray:
+    """Rows of a banded matrix as an (n, 2*width + 1) array: entry
+    [i, width + o] holds mat[i, i + o], zero where the stencil has none.
+    The values are the stored ones, bit for bit."""
+    coo = mat.tocoo()
+    bands = np.zeros((mat.shape[0], 2 * width + 1))
+    bands[coo.row, coo.col - coo.row + width] = coo.data
+    return bands
 
 
 def second_derivative_all_nodes(u: GridFunction, grid: RadialGrid) -> np.ndarray:

@@ -20,6 +20,19 @@ the cathode PDE row of R_e.  The Jacobian differentiates these discrete
 formulas exactly, so at the trivial state it reproduces the upwind
 discretization of the linearized operator.  Unknown vector layout:
 rho_i at nodes 1..n-1, R_e at nodes 1..n-1, V at nodes 1..n-2.
+
+Assembly.  The Jacobian's sparsity pattern depends only on the grid, so
+it is built once per grid (JacobianPattern, kept in the grid's cache)
+with vectorized numpy from the row stencils of the four blocks.  Each
+jacobian call then fills one data vector.  Every entry is computed from
+the stored band values of derivative_matrix and laplacian_matrix by the
+same floating-point expression, in the same order, as the product of
+stencil matrices it differentiates, and exact zeros are dropped; the CSR
+result is therefore bit-identical to composing the blocks with
+scipy.sparse (tests/oracles.py keeps that composition as the reference).
+bordered_matrix writes the canonical CSC of the bordered system
+[[J, F_lambda], [c, d]] used by the extended Newton corrector and by the
+continuation tangent directly from J's compressed columns.
 """
 
 from dataclasses import dataclass
@@ -33,7 +46,7 @@ from .model import (Parameters, harmonic_H, harmonic_dH, townsend_h,
                     townsend_h_prime, g_fn)
 from .grid import (RadialGrid, GridFunction, derivative_all_nodes,
                    radial_laplacian_all_nodes, derivative_matrix,
-                   laplacian_matrix, boundary_derivative)
+                   laplacian_matrix, boundary_derivative, stencil_bands)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
@@ -191,23 +204,88 @@ def norm_Y(res, grid: RadialGrid) -> float:
     return float(np.sqrt(s))
 
 
-def _unknown_slices(n):
-    ni = n - 1
-    return slice(0, ni), slice(ni, 2 * ni), slice(2 * ni, 3 * n - 4)
+def _block_columns(n):
+    """Column blocks of the unknown vector: node k of a block sits at
+    column base + k, for k = 1..top.  Maps block -> (base, top)."""
+    return {"rho_i": (-1, n - 1), "R_e": (n - 2, n - 1), "V": (2 * n - 3, n - 2)}
+
+
+# Row stencils of the four residual blocks: (block, node offsets) in
+# column order.  A row at node j may touch node j + o of each block.
+_F1_STENCIL = (("rho_i", (-1, 0)), ("R_e", (0,)), ("V", (-2, -1, 0, 1)))
+_F2_STENCIL = (("R_e", (-1, 0, 1)), ("V", (-1, 0, 1)))
+_F3_STENCIL = (("rho_i", (0,)), ("R_e", (0,)), ("V", (-1, 0, 1)))
+_F4_STENCIL = (("rho_i", (0,)), ("R_e", (-2, -1, 0)), ("V", (-2, -1)))
+
+
+@dataclass(frozen=True)
+class JacobianPattern:
+    """Fixed sparsity layout of the Jacobian on one grid.
+
+    jacobian fills one dense slab per residual block, a row per residual
+    node and a column per stencil entry; keep marks the in-range entries
+    of the concatenated slabs, which in CSR order match indices and
+    indptr.
+    dband and lband are the stored values of derivative_matrix and
+    laplacian_matrix by diagonal (offsets -2..2 and -3..3)."""
+    dband: np.ndarray
+    lband: np.ndarray
+    keep: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _stencil_slab(nodes, stencil, blocks):
+    """Column indices and in-range mask of a block's stencil slab."""
+    base, top, offs = [], [], []
+    for block, offsets in stencil:
+        b, t = blocks[block]
+        base += [b] * len(offsets)
+        top += [t] * len(offsets)
+        offs += offsets
+    k = nodes[:, None] + np.array(offs)
+    return np.array(base) + k, (k >= 1) & (k <= np.array(top))
+
+
+def _jacobian_pattern(grid: RadialGrid) -> JacobianPattern:
+    n = grid.n
+    blocks = _block_columns(n)
+    interior = np.arange(1, n - 1)
+    slabs = [_stencil_slab(np.arange(1, n), _F1_STENCIL, blocks),
+             _stencil_slab(interior, _F2_STENCIL, blocks),
+             _stencil_slab(interior, _F3_STENCIL, blocks),
+             _stencil_slab(np.array([n - 1]), _F4_STENCIL, blocks)]
+    cols = np.concatenate([c.ravel() for c, _ in slabs])
+    keep = np.concatenate([m.ravel() for _, m in slabs])
+    counts = np.concatenate([m.sum(axis=1) for _, m in slabs])
+    indptr = np.zeros(3 * n - 3, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return JacobianPattern(
+        dband=stencil_bands(derivative_matrix(grid), 2),
+        lband=stencil_bands(laplacian_matrix(grid), 3),
+        keep=keep,
+        indices=cols[keep].astype(np.int32),
+        indptr=indptr,
+        shape=(3 * n - 4, 3 * n - 4))
 
 
 def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
     """Exact derivative of the discrete residual with respect to the
-    unknown vector; sparse (3n-4) x (3n-4)."""
-    n = grid.n
+    unknown vector; sparse (3n-4) x (3n-4).
+
+    Fills the data vector of the grid's fixed JacobianPattern.  Each
+    entry is the same floating-point expression, in the same order, as
+    the product of the stencil matrices it differentiates, and exact
+    zeros are dropped, so the matrix is canonical CSR."""
+    pat = grid.cached("jacobian_pattern", _jacobian_pattern)
+    Db, Lb = pat.dband, pat.lband
     r = grid.r
     d = grid.delta
     lam = state.lam
     dH = harmonic_dH(r)
     H = harmonic_H(r)
     emh = np.exp(-0.5 * lam * H)
-    D = derivative_matrix(grid)
-    L = laplacian_matrix(grid)
 
     E = field(state, grid)
     absE = np.abs(E)
@@ -215,56 +293,78 @@ def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_
     hE = townsend_h(absE, p)
     hpE = townsend_h_prime(absE, p)
 
-    rows_i = slice(1, n)        # nodes carrying F1
-    rows_int = slice(1, n - 1)  # nodes carrying F2 / F3
-    cols_i = slice(1, n)        # rho_i unknown nodes
-    cols_e = slice(1, n)        # R_e unknown nodes
-    cols_v = slice(1, n - 1)    # V unknown nodes
-
-    def diags(v):
-        return scipy.sparse.diags(v, format="csr")
-
     # F1 rows.  flux = r^2 rho E, F1_j = k_i (flux_j - flux_{j-1})/(r_j^2 d) - ...
-    scale = p.k_i / (r[1:] ** 2 * d)
-    J1i = (diags(scale) @ (diags((r ** 2 * E)[1:]) @ _eye_rows(n, 1, 0)
-                           - diags((r ** 2 * E)[:-1]) @ _eye_rows(n, 1, -1)))[:, cols_i]
-    J1e = scipy.sparse.diags(-p.k_e * hE[1:] * emh[1:], offsets=1,
-                             shape=(n - 1, n), format="csr")[:, cols_e]
-    P = diags(r ** 2 * state.rho_i) @ D
-    J1v = (diags(scale) @ (P[1:, :] - P[:-1, :])
-           - diags((p.k_e * hpE * sgnE * emh * state.R_e)[1:]) @ D[1:, :])[:, cols_v]
+    scale = (p.k_i / (r[1:] ** 2 * d))[:, None]
+    a = r ** 2 * E
+    w = r ** 2 * state.rho_i
+    q = p.k_e * hpE * sgnE * emh * state.R_e
+    D1 = Db[1:, 0:4]            # D[j, j-2..j+1]
+    slab1 = np.hstack([
+        scale * -a[:-1, None], scale * a[1:, None],
+        (-p.k_e * hE[1:] * emh[1:])[:, None],
+        scale * (w[1:, None] * D1 - w[:-1, None] * Db[:-1, 1:5])
+        - q[1:, None] * D1])
 
     # F2 rows.
     DV = derivative_all_nodes(state.V, grid)
     DRe = derivative_all_nodes(state.R_e, grid)
     lapV = radial_laplacian_all_nodes(state.V, grid)
     c = 0.5 * lam * DV * dH - lapV + 0.25 * lam ** 2 * dH ** 2 - hE
-    J2e = (-L - diags(DV) @ D + diags(c))[rows_int, cols_e]
-    dc_dV = 0.5 * lam * diags(dH) @ D - L - diags(hpE * sgnE) @ D
-    J2v = (-diags(DRe) @ D + diags(state.R_e) @ dc_dV)[rows_int, cols_v]
+    Dc = Db[1:-1, 1:4]          # D[j, j-1..j+1]
+    Lc = Lb[1:-1, 2:5]          # L[j, j-1..j+1]
+    J2e = -Lc - DV[1:-1, None] * Dc
+    J2e[:, 1] += c[1:-1]
+    dc_dV = (0.5 * lam * dH[1:-1, None]) * Dc - Lc \
+        - (hpE * sgnE)[1:-1, None] * Dc
+    J2v = -DRe[1:-1, None] * Dc + state.R_e[1:-1, None] * dc_dV
+    slab2 = np.hstack([J2e, J2v])
 
     # F3 rows.
-    J3i = (-scipy.sparse.identity(n, format="csr"))[rows_int, cols_i]
-    J3e = diags(emh)[rows_int, cols_e]
-    J3v = L[rows_int, cols_v]
+    slab3 = np.hstack([np.full((grid.n - 2, 1), -1.0), emh[1:-1, None], Lc])
 
     # F4 row.
     kappa = p.k_i / p.k_e
     bdV = boundary_derivative(state.V, grid, "cathode")
-    row4i = np.zeros(n - 1)
-    row4i[-1] = -p.gamma * kappa * np.exp(0.5 * lam) * (bdV + 0.5 * lam)
-    row4e = np.zeros(n - 1)
-    row4e[-3:] = np.array([1.0, -4.0, 3.0]) / (2 * d)
-    row4e[-1] += 0.25 * lam + bdV
     emission = state.R_e[-1] - p.gamma * kappa * np.exp(0.5 * lam) * state.rho_i[-1]
-    row4v = (emission * D[[n - 1], :].toarray().ravel())[1:n - 1]
-    row4 = scipy.sparse.csr_matrix(
-        np.concatenate([row4i, row4e, row4v])[None, :])
+    row4e = Db[-1, 0:3].copy()
+    row4e[-1] += 0.25 * lam + bdV
+    row4 = np.concatenate([
+        [-p.gamma * kappa * np.exp(0.5 * lam) * (bdV + 0.5 * lam)],
+        row4e, emission * Db[-1, 0:2]])
 
-    top = scipy.sparse.bmat([[J1i, J1e, J1v],
-                             [None, J2e, J2v],
-                             [J3i, J3e, J3v]], format="csr")
-    return scipy.sparse.vstack([top, row4], format="csr")
+    data = np.concatenate([slab1.ravel(), slab2.ravel(), slab3.ravel(),
+                           row4])[pat.keep]
+    J = scipy.sparse.csr_matrix((data, pat.indices.copy(), pat.indptr.copy()),
+                                shape=pat.shape)
+    J.eliminate_zeros()
+    return J
+
+
+def bordered_matrix(J: scipy.sparse.csr_matrix, col: np.ndarray,
+                    row: np.ndarray, corner: float) -> scipy.sparse.csc_matrix:
+    """Canonical CSC form of [[J, col], [row, corner]].
+
+    The border row lands at the end of each column of J, and the last
+    column holds the nonzeros of col and the corner.  Exact zeros are
+    left out, as scipy.sparse.bmat leaves them out."""
+    Jc = J.tocsc()
+    m = J.shape[0]
+    nz = row != 0.0
+    last = np.flatnonzero(col)
+    last_vals = col[last]
+    if corner != 0.0:
+        last = np.append(last, m)
+        last_vals = np.append(last_vals, corner)
+    # One insertion pass: the border entry of column k goes before the
+    # first entry of column k + 1, the last column after everything.
+    at = np.concatenate([Jc.indptr[1:][nz], np.full(last.size, Jc.nnz)])
+    indptr = np.empty(m + 2, dtype=Jc.indptr.dtype)
+    indptr[0] = 0
+    np.cumsum(np.diff(Jc.indptr) + nz, out=indptr[1:-1])
+    indptr[-1] = indptr[-2] + last.size
+    indices = np.insert(Jc.indices, at, np.concatenate([np.full(nz.sum(), m), last]))
+    data = np.insert(Jc.data, at, np.concatenate([row[nz], last_vals]))
+    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(m + 1, m + 1))
 
 
 def _eye_rows(n, start, offset):
@@ -455,10 +555,8 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
             delta_lam = 0.0
         else:
             cval, dc_dx, dc_dlam = constraint(state)
-            A = scipy.sparse.bmat(
-                [[J, dresidual_dlambda(state, p, grid)[:, None]],
-                 [scipy.sparse.csr_matrix(np.asarray(dc_dx)[None, :]),
-                  np.array([[dc_dlam]])]], format="csc")
+            A = bordered_matrix(J, dresidual_dlambda(state, p, grid),
+                                np.asarray(dc_dx), dc_dlam)
             full = _solve_sparse(A, -np.concatenate([rv, [cval]]), state, nrm)
             step, delta_lam = full[:-1], full[-1]
 

@@ -128,6 +128,100 @@ def transversality_F(lam, a, b, gamma):
     return float(-gamma * np.exp(0.5 * lam) * w(2.0)[0] * i1 - i2 + boundary)
 
 
+# ---------------------------------------------------------------------------
+# Jacobian by composition of sparse stencil matrices
+# ---------------------------------------------------------------------------
+# Unlike the continuum references above, this one uses the package's own
+# discrete stencils.  It composes the steady Jacobian from diags, bmat and
+# sparse products, one block at a time, the way the formulas read; the
+# package fills a fixed pattern instead, and the tests require the two to
+# agree in indptr, indices and data exactly.
+
+def _eye_rows(n, start, offset):
+    """Rows start..n-1 of the identity shifted by offset columns."""
+    import scipy.sparse
+
+    j = np.arange(start, n)
+    cols = j + offset
+    keep = (cols >= 0) & (cols < n)
+    return scipy.sparse.csr_matrix(
+        (np.ones(keep.sum()), (j[keep] - start, cols[keep])),
+        shape=(n - start, n))
+
+
+def jacobian_reference(state, p, grid):
+    """Steady Jacobian composed from scipy.sparse stencil matrices."""
+    import scipy.sparse
+    from spark_branch.grid import (boundary_derivative, derivative_all_nodes,
+                                   derivative_matrix, laplacian_matrix,
+                                   radial_laplacian_all_nodes)
+    from spark_branch.model import (harmonic_dH, harmonic_H, townsend_h,
+                                    townsend_h_prime)
+    from spark_branch.steady import field
+
+    n = grid.n
+    r = grid.r
+    d = grid.delta
+    lam = state.lam
+    dH = harmonic_dH(r)
+    H = harmonic_H(r)
+    emh = np.exp(-0.5 * lam * H)
+    D = derivative_matrix(grid)
+    L = laplacian_matrix(grid)
+
+    E = field(state, grid)
+    absE = np.abs(E)
+    sgnE = np.sign(E)
+    hE = townsend_h(absE, p)
+    hpE = townsend_h_prime(absE, p)
+
+    rows_int = slice(1, n - 1)
+    cols_i = slice(1, n)
+    cols_e = slice(1, n)
+    cols_v = slice(1, n - 1)
+
+    def diags(v):
+        return scipy.sparse.diags(v, format="csr")
+
+    scale = p.k_i / (r[1:] ** 2 * d)
+    J1i = (diags(scale) @ (diags((r ** 2 * E)[1:]) @ _eye_rows(n, 1, 0)
+                           - diags((r ** 2 * E)[:-1]) @ _eye_rows(n, 1, -1)))[:, cols_i]
+    J1e = scipy.sparse.diags(-p.k_e * hE[1:] * emh[1:], offsets=1,
+                             shape=(n - 1, n), format="csr")[:, cols_e]
+    P = diags(r ** 2 * state.rho_i) @ D
+    J1v = (diags(scale) @ (P[1:, :] - P[:-1, :])
+           - diags((p.k_e * hpE * sgnE * emh * state.R_e)[1:]) @ D[1:, :])[:, cols_v]
+
+    DV = derivative_all_nodes(state.V, grid)
+    DRe = derivative_all_nodes(state.R_e, grid)
+    lapV = radial_laplacian_all_nodes(state.V, grid)
+    c = 0.5 * lam * DV * dH - lapV + 0.25 * lam ** 2 * dH ** 2 - hE
+    J2e = (-L - diags(DV) @ D + diags(c))[rows_int, cols_e]
+    dc_dV = 0.5 * lam * diags(dH) @ D - L - diags(hpE * sgnE) @ D
+    J2v = (-diags(DRe) @ D + diags(state.R_e) @ dc_dV)[rows_int, cols_v]
+
+    J3i = (-scipy.sparse.identity(n, format="csr"))[rows_int, cols_i]
+    J3e = diags(emh)[rows_int, cols_e]
+    J3v = L[rows_int, cols_v]
+
+    kappa = p.k_i / p.k_e
+    bdV = boundary_derivative(state.V, grid, "cathode")
+    row4i = np.zeros(n - 1)
+    row4i[-1] = -p.gamma * kappa * np.exp(0.5 * lam) * (bdV + 0.5 * lam)
+    row4e = np.zeros(n - 1)
+    row4e[-3:] = np.array([1.0, -4.0, 3.0]) / (2 * d)
+    row4e[-1] += 0.25 * lam + bdV
+    emission = state.R_e[-1] - p.gamma * kappa * np.exp(0.5 * lam) * state.rho_i[-1]
+    row4v = (emission * D[[n - 1], :].toarray().ravel())[1:n - 1]
+    row4 = scipy.sparse.csr_matrix(
+        np.concatenate([row4i, row4e, row4v])[None, :])
+
+    top = scipy.sparse.bmat([[J1i, J1e, J1v],
+                             [None, J2e, J2v],
+                             [J3i, J3e, J3v]], format="csr")
+    return scipy.sparse.vstack([top, row4], format="csr")
+
+
 def main():
     print(f"{'params':>10} {'lambda_dagger':>18} {'B(residual)':>12} "
           f"{'w(2) at root':>14} {'F':>18}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spark_branch import cli
+from spark_branch.grid import MIN_NODES
 from spark_branch.cli import (RunConfig, UsageError, load_config, branch_csv,
                               BRANCH_HEADER, EXIT_OK, EXIT_FAILURE,
                               EXIT_NO_SPARK, EXIT_USAGE)
@@ -79,6 +80,18 @@ def test_config_errors_exit_64(tmp_path, capsys):
     path = _write_config(tmp_path, gamma=-2.0)
     assert cli.main(["spark", "--config", path]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_n", [10, MIN_NODES - 1])
+def test_grid_below_min_nodes_exits_64(tmp_path, capsys, grid_n):
+    """A grid the solver cannot build is a usage error, from the flag
+    and from the config file alike, never a traceback."""
+    assert cli.main(["spark", "--grid-n", str(grid_n)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"grid_n must be at least {MIN_NODES}" in err
+    path = _write_config(tmp_path, grid_n=grid_n)
+    assert cli.main(["branch", "--config", path]) == EXIT_USAGE
+    assert f"at least {MIN_NODES}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- spark
