@@ -36,11 +36,12 @@ from scipy.integrate import cumulative_trapezoid
 
 from .electron import ElectronSolution, emission_kernel
 from .grid import (GridFunction, RadialGrid, boundary_derivative,
-                   derivative_all_nodes, radial_laplacian_all_nodes,
-                   solve_sl_dirichlet, solve_sl_dirichlet_robin,
-                   sturm_liouville_rows, weighted_inner)
-from .model import (Parameters, g_fn, g_prime, harmonic_H, harmonic_dH,
-                    townsend_h, townsend_h_prime)
+                   derivative_all_nodes, node_dH, node_H,
+                   radial_laplacian_all_nodes, solve_sl_dirichlet,
+                   solve_sl_dirichlet_robin, sturm_liouville_rows,
+                   weighted_inner)
+from .model import (Parameters, g_fn, g_prime, townsend_h,
+                    townsend_h_prime)
 
 
 @dataclass
@@ -65,7 +66,7 @@ def adjoint_forcing(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray:
 
 def solve_adjoint_w(lam: float, p: Parameters, grid: RadialGrid) -> AdjointSolution:
     """Collocation solve of the normalized left-null profile's problem."""
-    q = g_fn(lam * harmonic_dH(grid.r), p)
+    q = g_fn(lam * node_dH(grid), p)
     w = solve_sl_dirichlet_robin(grid, q, adjoint_forcing(lam, p, grid), -0.25 * lam)
     robin = abs(boundary_derivative(w, grid, "cathode") + 0.25 * lam)
     return AdjointSolution(lam=lam, w=w, robin_residual=robin)
@@ -84,7 +85,7 @@ def nullspace_triple(lam: float, u_dagger: ElectronSolution, p: Parameters,
     integrand = (2.0 * p.k_e / (p.k_i * lam)) * np.exp(-0.5 * lam) \
         * emission_kernel(lam, grid, p) * u
     phi_i = cumulative_trapezoid(integrand, grid.r, initial=0.0)
-    rhs = np.exp(-0.5 * lam * harmonic_H(grid.r)) * u - phi_i
+    rhs = np.exp(-0.5 * lam * node_H(grid)) * u - phi_i
     phi_v = solve_sl_dirichlet(grid, 0.0, rhs)
     return NullTriple(phi_i=phi_i, phi_e=u.copy(), phi_v=phi_v)
 
@@ -117,8 +118,8 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray
     ni, ne, nv, dim = _layout(n)
     oi, oe, ov = 0, ni, ni + ne
 
-    h = townsend_h(lam * harmonic_dH(r), p)
-    emh = np.exp(-0.5 * lam * harmonic_H(r))
+    h = townsend_h(lam * node_dH(grid), p)
+    emh = np.exp(-0.5 * lam * node_H(grid))
     A = np.zeros((dim, dim))
     row_oe = n - 1          # first electron row (transport block has n-1 rows)
     row_ov = row_oe + (n - 2)
@@ -147,7 +148,7 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray
     A[row, oe + n - 2] += -0.75 * s[n - 1] / r[-1] ** 2
 
     # electron rows at j=1..n-2: -(S_e'' + (2/r) S_e') - g S_e
-    q = g_fn(lam * harmonic_dH(r), p)
+    q = g_fn(lam * node_dH(grid), p)
     sub, diag, sup = sturm_liouville_rows(grid, q)
     for j in range(1, n - 1):
         row = row_oe + (j - 1)
@@ -220,8 +221,8 @@ def transversality_F(lam: float, u_dagger: ElectronSolution, w_sol: AdjointSolut
     r = grid.r
     u = u_dagger.u
     w = w_sol.w
-    H = harmonic_H(r)
-    dH = harmonic_dH(r)
+    H = node_H(grid)
+    dH = node_dH(grid)
     ell = lam * dH
     # combined exponent: e^{lam/2} e^{-lam H/2} = e^{lam (1/r - 1/2)}
     weight = np.exp(lam * (1.0 / r - 0.5))
@@ -241,8 +242,8 @@ def transversality_crosscheck(lam: float, triple: NullTriple, w_sol: AdjointSolu
     the triple annihilates the cathode-emission row; for a generic profile the
     two forms differ by twice that row's value."""
     r = grid.r
-    H = harmonic_H(r)
-    dH = harmonic_dH(r)
+    H = node_H(grid)
+    dH = node_dH(grid)
     ell = lam * dH
     w = w_sol.w
     w2 = w[-1]
@@ -273,8 +274,8 @@ def _forward_rows(lam, S_i, S_e, W, p, grid):
     """The four linearized rows evaluated at every node (end rows use
     one-sided stencils; they only ever enter O(delta)-weight quadrature)."""
     r = grid.r
-    dH = harmonic_dH(r)
-    H = harmonic_H(r)
+    dH = node_dH(grid)
+    H = node_H(grid)
     h = townsend_h(lam * dH, p)
     q = g_fn(lam * dH, p)
     emh = np.exp(-0.5 * lam * H)
@@ -288,8 +289,8 @@ def _forward_rows(lam, S_i, S_e, W, p, grid):
 
 def _adjoint_rows(lam, psi_i, psi_e, psi_v, p, grid):
     r = grid.r
-    dH = harmonic_dH(r)
-    H = harmonic_H(r)
+    dH = node_dH(grid)
+    H = node_H(grid)
     h = townsend_h(lam * dH, p)
     q = g_fn(lam * dH, p)
     emh = np.exp(-0.5 * lam * H)

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 import logging
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .adjoint import NullTriple, pack_triple
 from .electron import boundary_B, solve_electron, sparking_voltage
 from .grid import RadialGrid, integrate
 from .model import Parameters, high_voltage_condition
-from .steady import (NEWTON_TOL, AdmissibilityError, NewtonError, State,
-                     admissibility, bordered_matrix, densities,
+from .steady import (NEWTON_TOL, AdmissibilityError, BandLU, NewtonError,
+                     State, admissibility, densities,
                      dresidual_dlambda, jacobian, newton_solve, pack,
                      trivial_state, unpack)
 
@@ -206,33 +205,35 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
 def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
                       grid: RadialGrid, iters: int = 8):
     """New unit tangent and smallest singular value of the bordered
-    Jacobian at an accepted point, from a single factorization.
+    Jacobian [[J, F_lambda], [t_x^T W, t_lambda]] at an accepted point,
+    from a single band LU of J (steady.BandLU).
 
     The tangent solves the bordered system with right-hand side
-    (0, ..., 0, 1): the state rows force an extended null direction of
-    the Jacobian, the border row pins a positive projection onto the
-    previous tangent, so orientation carries over without a sign check.
-    A secant would do almost as well except at departure, where the
-    first step also absorbs the one-time offset between the continuum
-    sparking voltage and the discrete bifurcation point; that offset
-    sits mostly in the lambda component and would poison a secant.
+    (0, ..., 0, 1) by block elimination plus one refinement step: the
+    state rows force an extended null direction of the Jacobian, the
+    border row pins a positive projection onto the previous tangent, so
+    orientation carries over without a sign check.  A secant would do
+    almost as well except at departure, where the first step also
+    absorbs the one-time offset between the continuum sparking voltage
+    and the discrete bifurcation point; that offset sits mostly in the
+    lambda component and would poison a secant.
 
-    sigma comes from inverse power iteration with a deterministic start
-    vector, so traces stay bit-reproducible.  Returns (None, 0.0) when
-    the factorization fails.
+    sigma comes from inverse power iteration on the same LU, one
+    transposed and one plain bordered solve per step, unrefined, with a
+    deterministic start vector, so traces stay bit-reproducible.
+    Returns (None, 0.0) when the factorization or the tangent solve
+    fails, and sigma = 0.0 when a power step does.
     """
     J = jacobian(state, p, grid)
     col = dresidual_dlambda(state, p, grid)
-    A = bordered_matrix(J, col, _pack_weights(grid) * tangent.x, tangent.dlam)
-    m = A.shape[0]
-    try:
-        lu = scipy.sparse.linalg.splu(A)
-    except RuntimeError:
-        return None, 0.0
+    m = J.shape[0] + 1
     e_last = np.zeros(m)
     e_last[-1] = 1.0
-    t_raw = lu.solve(e_last)
-    if not np.all(np.isfinite(t_raw)):
+    try:
+        lu = BandLU(J, grid, col, _pack_weights(grid) * tangent.x,
+                    tangent.dlam)
+        t_raw = lu.solve(e_last)
+    except np.linalg.LinAlgError:
         return None, 0.0
     t_new = Tangent(t_raw[:-1], float(t_raw[-1]))
     nrm = np.sqrt(ext_inner(t_new, t_new, grid))
@@ -245,8 +246,10 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     v /= np.linalg.norm(v)
     growth = 0.0
     for _ in range(iters):
-        y = lu.solve(v, trans="T")
-        z = lu.solve(y, trans="N")
+        try:
+            z = lu.solve(lu.solve(v, trans=True, refine=False), refine=False)
+        except np.linalg.LinAlgError:
+            return t_new, 0.0
         growth = np.linalg.norm(z)
         if not np.isfinite(growth) or growth == 0.0:
             return t_new, 0.0

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (GridFunction, RadialGrid, BandedSolveError, boundary_derivative,
-                   integrate, solve_sl_dirichlet_robin)
-from .model import Parameters, g_fn, harmonic_dH
+                   integrate, node_dH, solve_sl_dirichlet_robin)
+from .model import Parameters, g_fn
 
 LAMBDA_SCAN_MIN = 1e-2
 LAMBDA_MAX_DEFAULT = 100.0
@@ -89,7 +89,7 @@ def solve_electron(lam: float, p: Parameters, grid: RadialGrid,
     one-dimensional solution family up to a positive factor, so the root of
     B does not depend on the choice.
     """
-    q = g_fn(lam * harmonic_dH(grid.r), p)
+    q = g_fn(lam * node_dH(grid), p)
     try:
         if normalization == "slope":
             u = solve_sl_dirichlet_robin(grid, q, 0.0, 1.0)

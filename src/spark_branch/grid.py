@@ -15,6 +15,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .model import harmonic_H, harmonic_dH
+
 # A grid function is just its node values.
 GridFunction = np.ndarray
 
@@ -40,8 +42,9 @@ class RadialGrid:
 
     def cached(self, key: str, build):
         """Per-grid memo for derived operators and layouts (stencil
-        matrices, packed weights, the Jacobian pattern): build(self) runs
-        on the first request for key, later requests share its value."""
+        matrices, H and H' at the nodes, packed weights, the Jacobian
+        pattern and its band layout): build(self) runs on the first
+        request for key, later requests share its value."""
         try:
             return self._cache[key]
         except KeyError:
@@ -50,6 +53,21 @@ class RadialGrid:
 
     def __repr__(self):
         return f"RadialGrid(n={self.n})"
+
+
+def node_H(grid: RadialGrid) -> np.ndarray:
+    """harmonic_H at the nodes, computed once per grid (read-only)."""
+    return grid.cached("node_H", lambda g: _read_only(harmonic_H(g.r)))
+
+
+def node_dH(grid: RadialGrid) -> np.ndarray:
+    """harmonic_dH at the nodes, computed once per grid (read-only)."""
+    return grid.cached("node_dH", lambda g: _read_only(harmonic_dH(g.r)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def weighted_inner(u: GridFunction, v: GridFunction, grid: RadialGrid) -> float:

@@ -30,23 +30,32 @@ same floating-point expression, in the same order, as the product of
 stencil matrices it differentiates, and exact zeros are dropped; the CSR
 result is therefore bit-identical to composing the blocks with
 scipy.sparse (tests/oracles.py keeps that composition as the reference).
-bordered_matrix writes the canonical CSC of the bordered system
-[[J, F_lambda], [c, d]] used by the extended Newton corrector and by the
-continuation tangent directly from J's compressed columns.
+
+Linear solves.  Ordered node by node, rows (F1_j, F2_j, F3_j) against
+unknowns (rho_i(j), R_e(j), V(j)) with F4 in the cathode R_e slot, every
+row is local and J is a band matrix with 6 sub- and 5 superdiagonals on
+every grid.  BandLU copies J into LAPACK band storage along that order
+(BandLayout, cached per grid at the first factorization), factors it
+with dgbtrf and solves with dgbtrs.  The bordered systems
+[[J, F_lambda], [c, d]] of the extended corrector, the continuation
+tangent and the discrete bifurcation pair are solved by block
+elimination (bordering) on that one LU, followed by one step of
+refinement against the exact bordered product, which restores full
+accuracy where J itself is singular.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .model import (Parameters, harmonic_H, harmonic_dH, townsend_h,
-                    townsend_h_prime, g_fn)
+from .model import Parameters, townsend_h, townsend_h_prime, g_fn
 from .grid import (RadialGrid, GridFunction, derivative_all_nodes,
                    radial_laplacian_all_nodes, derivative_matrix,
-                   laplacian_matrix, boundary_derivative, stencil_bands)
+                   laplacian_matrix, boundary_derivative, node_dH, node_H,
+                   stencil_bands)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
@@ -149,7 +158,7 @@ def unpack(lam: float, x: np.ndarray, grid: RadialGrid) -> State:
 
 def field(state: State, grid: RadialGrid) -> np.ndarray:
     """d(Phi)/dr = V' + lambda H' at all nodes."""
-    return derivative_all_nodes(state.V, grid) + state.lam * harmonic_dH(grid.r)
+    return derivative_all_nodes(state.V, grid) + state.lam * node_dH(grid)
 
 
 def residual(state: State, p: Parameters, grid: RadialGrid) -> Residual:
@@ -157,8 +166,8 @@ def residual(state: State, p: Parameters, grid: RadialGrid) -> Residual:
     r = grid.r
     d = grid.delta
     lam = state.lam
-    dH = harmonic_dH(r)
-    H = harmonic_H(r)
+    dH = node_dH(grid)
+    H = node_H(grid)
     emh = np.exp(-0.5 * lam * H)
 
     E = field(state, grid)
@@ -283,8 +292,8 @@ def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_
     r = grid.r
     d = grid.delta
     lam = state.lam
-    dH = harmonic_dH(r)
-    H = harmonic_H(r)
+    dH = node_dH(grid)
+    H = node_H(grid)
     emh = np.exp(-0.5 * lam * H)
 
     E = field(state, grid)
@@ -340,31 +349,125 @@ def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_
     return J
 
 
-def bordered_matrix(J: scipy.sparse.csr_matrix, col: np.ndarray,
-                    row: np.ndarray, corner: float) -> scipy.sparse.csc_matrix:
-    """Canonical CSC form of [[J, col], [row, corner]].
+@dataclass(frozen=True)
+class BandLayout:
+    """Node-interleaved order of the Jacobian on one grid.
 
-    The border row lands at the end of each column of J, and the last
-    column holds the nonzeros of col and the corner.  Exact zeros are
-    left out, as scipy.sparse.bmat leaves them out."""
-    Jc = J.tocsc()
-    m = J.shape[0]
-    nz = row != 0.0
-    last = np.flatnonzero(col)
-    last_vals = col[last]
-    if corner != 0.0:
-        last = np.append(last, m)
-        last_vals = np.append(last_vals, corner)
-    # One insertion pass: the border entry of column k goes before the
-    # first entry of column k + 1, the last column after everything.
-    at = np.concatenate([Jc.indptr[1:][nz], np.full(last.size, Jc.nnz)])
-    indptr = np.empty(m + 2, dtype=Jc.indptr.dtype)
-    indptr[0] = 0
-    np.cumsum(np.diff(Jc.indptr) + nz, out=indptr[1:-1])
-    indptr[-1] = indptr[-2] + last.size
-    indices = np.insert(Jc.indices, at, np.concatenate([np.full(nz.sum(), m), last]))
-    data = np.insert(Jc.data, at, np.concatenate([row[nz], last_vals]))
-    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(m + 1, m + 1))
+    Residual rows go (F1_j, F2_j, F3_j) and unknowns (rho_i(j), R_e(j),
+    V(j)) node by node, with F4 next to node n-1 in the place of the
+    cathode R_e row; in that order J is a band matrix with kl sub- and
+    ku superdiagonals.  row_pos and col_pos give the position of each
+    residual row and unknown; row_at and col_at invert them.  An entry
+    (i, j) of J lives at flat index row_key[i] + col_key[j] of the
+    Fortran-ordered LAPACK band array of shape (2 kl + ku + 1, m)."""
+    kl: int
+    ku: int
+    row_pos: np.ndarray
+    col_pos: np.ndarray
+    row_at: np.ndarray
+    col_at: np.ndarray
+    row_key: np.ndarray
+    col_key: np.ndarray
+
+
+def _band_layout(grid: RadialGrid) -> BandLayout:
+    n = grid.n
+    pat = grid.cached("jacobian_pattern", _jacobian_pattern)
+    k = 3 * np.arange(n - 2)
+    row_pos = np.concatenate([k, [3 * n - 6], k + 1, k + 2, [3 * n - 5]])
+    col_pos = np.concatenate([k, [3 * n - 6], k + 1, [3 * n - 5], k + 2])
+    rows = np.repeat(np.arange(pat.shape[0]), np.diff(pat.indptr))
+    offset = row_pos[rows] - col_pos[pat.indices]
+    kl, ku = int(offset.max()), int(-offset.min())
+    ldab = 2 * kl + ku + 1
+    return BandLayout(kl=kl, ku=ku, row_pos=row_pos, col_pos=col_pos,
+                      row_at=np.argsort(row_pos), col_at=np.argsort(col_pos),
+                      row_key=kl + ku + row_pos, col_key=col_pos * (ldab - 1))
+
+
+class BandLU:
+    """LAPACK band LU of the Jacobian J, optionally bordered.
+
+    With a border (col, row, corner) it solves the bordered system
+    [[J, col], [row, corner]] by block elimination on the one LU of J:
+    J^{-1} col and the Schur scalar corner - row . J^{-1} col are
+    formed once, J^{-T} row on the first transposed solve.  Without a
+    border it solves with J alone.  J must lie on the grid's Jacobian
+    pattern (a subset of it, as after eliminate_zeros, is fine).
+
+    A zero pivot, a zero or non-finite Schur scalar and a non-finite
+    solution raise numpy.linalg.LinAlgError."""
+
+    def __init__(self, J: scipy.sparse.csr_matrix, grid: RadialGrid,
+                 col: np.ndarray = None, row: np.ndarray = None,
+                 corner: float = 0.0):
+        lay = grid.cached("band_layout", _band_layout)
+        m = J.shape[0]
+        ldab = 2 * lay.kl + lay.ku + 1
+        ab = np.zeros(ldab * m)
+        ab[np.repeat(lay.row_key, np.diff(J.indptr))
+           + lay.col_key[J.indices]] = J.data
+        self._lu, self._piv, info = dgbtrf(
+            ab.reshape((ldab, m), order="F"), lay.kl, lay.ku, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"zero pivot {info} in the band LU")
+        self._lay = lay
+        self._J = J
+        self._border = None
+        if col is not None:
+            y = self._band_solve(col, 0)
+            schur = corner - np.dot(row, y)
+            if not np.isfinite(schur) or schur == 0.0:
+                raise np.linalg.LinAlgError(
+                    f"bordered system singular (Schur scalar {schur})")
+            self._border = (col, row, corner, schur)
+            self._y = y
+            self._w = None
+
+    def _band_solve(self, b, trans):
+        lay = self._lay
+        into, out = (lay.col_at, lay.row_pos) if trans else \
+            (lay.row_at, lay.col_pos)
+        x, _ = dgbtrs(self._lu, lay.kl, lay.ku, b[into], self._piv,
+                      trans=trans, overwrite_b=1)
+        return x[out]
+
+    def _eliminate(self, b, trans):
+        if self._border is None:
+            return self._band_solve(b, trans)
+        col, row, _, schur = self._border
+        if trans:
+            if self._w is None:
+                self._w = self._band_solve(row, 1)
+            y, row = self._w, col
+        else:
+            y = self._y
+        z = self._band_solve(b[:-1], trans)
+        xi = (b[-1] - np.dot(row, z)) / schur
+        return np.append(z - xi * y, xi)
+
+    def _product(self, x, trans):
+        J = self._J.T if trans else self._J
+        if self._border is None:
+            return J @ x
+        col, row, corner, _ = self._border
+        if trans:
+            col, row = row, col
+        top, xi = x[:-1], x[-1]
+        return np.append(J @ top + xi * col, np.dot(row, top) + corner * xi)
+
+    def solve(self, b: np.ndarray, trans: bool = False,
+              refine: bool = True) -> np.ndarray:
+        """Solution of the (bordered) system, or of its transpose when
+        trans, with one step of refinement against the exact product
+        unless refine is False."""
+        t = int(trans)
+        x = self._eliminate(b, t)
+        if refine:
+            x += self._eliminate(b - self._product(x, t), t)
+        if not np.all(np.isfinite(x)):
+            raise np.linalg.LinAlgError("non-finite solution")
+        return x
 
 
 def _eye_rows(n, start, offset):
@@ -385,8 +488,8 @@ def dresidual_dlambda(state: State, p: Parameters, grid: RadialGrid) -> np.ndarr
     r = grid.r
     d = grid.delta
     lam = state.lam
-    dH = harmonic_dH(r)
-    H = harmonic_H(r)
+    dH = node_dH(grid)
+    H = node_H(grid)
     emh = np.exp(-0.5 * lam * H)
     E = field(state, grid)
     absE = np.abs(E)
@@ -415,8 +518,8 @@ def trivial_linearization(lam: float, p: Parameters, grid: RadialGrid) -> scipy.
     n = grid.n
     r = grid.r
     d = grid.delta
-    dH = harmonic_dH(r)
-    H = harmonic_H(r)
+    dH = node_dH(grid)
+    H = node_H(grid)
     emh = np.exp(-0.5 * lam * H)
     h = townsend_h(lam * dH, p)
     g = g_fn(lam * dH, p)
@@ -471,7 +574,7 @@ def ion_consistency(state: State, p: Parameters, grid: RadialGrid) -> float:
             f"field minimum {rep.min_field:.3e} at or below floor")
     r = grid.r
     E = field(state, grid)
-    emh = np.exp(-0.5 * state.lam * harmonic_H(r))
+    emh = np.exp(-0.5 * state.lam * node_H(grid))
     integrand = r ** 2 * townsend_h(np.abs(E), p) * emh * state.R_e
     integral = cumulative_trapezoid(integrand, r, initial=0.0)
     recon = (p.k_e / p.k_i) * integral / (r ** 2 * E)
@@ -479,7 +582,7 @@ def ion_consistency(state: State, p: Parameters, grid: RadialGrid) -> float:
 
 
 def densities(state: State, grid: RadialGrid) -> DensityReport:
-    rho_e = state.R_e * np.exp(-0.5 * state.lam * harmonic_H(grid.r))
+    rho_e = state.R_e * np.exp(-0.5 * state.lam * node_H(grid))
     positive = bool(np.all(rho_e[1:] > 0.0) and np.all(state.rho_i[1:] > 0.0))
     return DensityReport(rho_e=rho_e,
                          sup_rho_i=float(np.max(np.abs(state.rho_i))),
@@ -494,7 +597,7 @@ def cathode_flux_gap(state: State, p: Parameters, grid: RadialGrid) -> float:
     r = grid.r
     lam = state.lam
     E = field(state, grid)
-    emh = np.exp(-0.5 * lam * harmonic_H(r))
+    emh = np.exp(-0.5 * lam * node_H(grid))
     integrand = r ** 2 * townsend_h(np.abs(E), p) * emh * state.R_e
     integral = np.trapezoid(integrand, r)
     bdRe = boundary_derivative(state.R_e, grid, "cathode")
@@ -502,17 +605,6 @@ def cathode_flux_gap(state: State, p: Parameters, grid: RadialGrid) -> float:
     rhs = -(0.25 * lam + bdV) * state.R_e[-1] \
         + 0.25 * p.gamma * np.exp(0.5 * lam) * integral
     return float(abs(bdRe - rhs))
-
-
-def _solve_sparse(A, b, state, nrm):
-    try:
-        lu = scipy.sparse.linalg.splu(A.tocsc())
-        x = lu.solve(b)
-    except RuntimeError as exc:
-        raise SingularJacobian(f"factorization failed: {exc}", state, nrm)
-    if not np.all(np.isfinite(x)):
-        raise SingularJacobian("non-finite Newton direction", state, nrm)
-    return x
 
 
 def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
@@ -551,13 +643,20 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
             return NewtonResult(state, it, nrm)
         J = jacobian(state, p, grid)
         if mode == "fixed":
-            step = _solve_sparse(J, -rv, state, nrm)
-            delta_lam = 0.0
+            border, rhs = (), -rv
         else:
             cval, dc_dx, dc_dlam = constraint(state)
-            A = bordered_matrix(J, dresidual_dlambda(state, p, grid),
-                                np.asarray(dc_dx), dc_dlam)
-            full = _solve_sparse(A, -np.concatenate([rv, [cval]]), state, nrm)
+            border = (dresidual_dlambda(state, p, grid), np.asarray(dc_dx),
+                      dc_dlam)
+            rhs = -np.append(rv, cval)
+        try:
+            full = BandLU(J, grid, *border).solve(rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"linear solve failed: {exc}",
+                                   state, nrm) from exc
+        if mode == "fixed":
+            step, delta_lam = full, 0.0
+        else:
             step, delta_lam = full[:-1], full[-1]
 
         x = pack(state)

@@ -162,10 +162,7 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
     root.  Returns (lam_star, phi) with phi normalized to unit weighted
     norm.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    from .steady import trivial_linearization
+    from .steady import BandLU, trivial_linearization
 
     pw = np.concatenate([grid.r2w[1:], grid.r2w[1:], grid.r2w[1:-1]])
     c = pw * direction_guess
@@ -184,10 +181,7 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
         Lp = trivial_linearization(lam + dlam_fd, p, grid)
         Lm = trivial_linearization(lam - dlam_fd, p, grid)
         col = (Lp @ phi - Lm @ phi) / (2.0 * dlam_fd)
-        A = scipy.sparse.bmat(
-            [[L, col[:, None]],
-             [scipy.sparse.csr_matrix(c[None, :]), None]], format="csc")
-        step = scipy.sparse.linalg.splu(A).solve(-res)
+        step = BandLU(L, grid, col, c).solve(-res)
         phi = phi + step[:-1]
         lam += float(step[-1])
     else:

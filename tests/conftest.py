@@ -101,6 +101,14 @@ def p231():
 
 
 @pytest.fixture(scope="session")
+def short_branch(cache):
+    """n=65 trace at (2,3,1) to lambda_dagger + 0.05 (about 55 points)."""
+    lam_dagger = cache.spark("(2,3,1)", 65).lambda_dagger
+    return trace_branch(PARAMS["(2,3,1)"], cache.grid(65),
+                        limits={"lambda_cap": lam_dagger + 0.05})
+
+
+@pytest.fixture(scope="session")
 def branch257_full(cache):
     """Full default-limit trace at (2,3,1), n=257 (terminates on its own)."""
     return trace_branch(PARAMS["(2,3,1)"], cache.grid(257))

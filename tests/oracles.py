@@ -222,6 +222,62 @@ def jacobian_reference(state, p, grid):
     return scipy.sparse.vstack([top, row4], format="csr")
 
 
+# ---------------------------------------------------------------------------
+# Bordered matrix and its SuperLU solve
+# ---------------------------------------------------------------------------
+# The package solves bordered systems by block elimination on a band LU
+# of J and never forms the bordered matrix; these build it explicitly
+# and factor it with SuperLU, the solver the band LU replaced.
+
+def bordered_matrix(J, col, row, corner):
+    """Canonical CSC form of [[J, col], [row, corner]].
+
+    The border row lands at the end of each column of J, and the last
+    column holds the nonzeros of col and the corner.  Exact zeros are
+    left out, as scipy.sparse.bmat leaves them out."""
+    import scipy.sparse
+
+    Jc = J.tocsc()
+    m = J.shape[0]
+    nz = row != 0.0
+    last = np.flatnonzero(col)
+    last_vals = col[last]
+    if corner != 0.0:
+        last = np.append(last, m)
+        last_vals = np.append(last_vals, corner)
+    # One insertion pass: the border entry of column k goes before the
+    # first entry of column k + 1, the last column after everything.
+    at = np.concatenate([Jc.indptr[1:][nz], np.full(last.size, Jc.nnz)])
+    indptr = np.empty(m + 2, dtype=Jc.indptr.dtype)
+    indptr[0] = 0
+    np.cumsum(np.diff(Jc.indptr) + nz, out=indptr[1:-1])
+    indptr[-1] = indptr[-2] + last.size
+    indices = np.insert(Jc.indices, at, np.concatenate([np.full(nz.sum(), m), last]))
+    data = np.insert(Jc.data, at, np.concatenate([row[nz], last_vals]))
+    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(m + 1, m + 1))
+
+
+class SuperLUBordered:
+    """SuperLU factorization of J, or of the bordered matrix when a
+    border is given, with the call signature of steady.BandLU.  Raises
+    numpy.linalg.LinAlgError where splu fails, as BandLU does."""
+
+    def __init__(self, J, grid, col=None, row=None, corner=0.0):
+        import scipy.sparse.linalg
+
+        A = J.tocsc() if col is None else bordered_matrix(J, col, row, corner)
+        try:
+            self._lu = scipy.sparse.linalg.splu(A)
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+
+    def solve(self, b, trans=False, refine=True):
+        x = self._lu.solve(b, trans="T" if trans else "N")
+        if not np.all(np.isfinite(x)):
+            raise np.linalg.LinAlgError("non-finite solution")
+        return x
+
+
 def main():
     print(f"{'params':>10} {'lambda_dagger':>18} {'B(residual)':>12} "
           f"{'w(2) at root':>14} {'F':>18}")

@@ -1,22 +1,20 @@
 """Fixed-pattern assembly of the Jacobian and the bordered matrix.
 
-Both are checked bit for bit, in indptr, indices and data, against the
-scipy.sparse composition they replace: the Jacobian against
-oracles.jacobian_reference, the bordered matrix against
-scipy.sparse.bmat(..., format="csc").
+Both are checked bit for bit, in indptr, indices and data, against a
+scipy.sparse composition: the Jacobian against
+oracles.jacobian_reference, the bordered matrix of the SuperLU oracle
+(oracles.bordered_matrix) against scipy.sparse.bmat(..., format="csc").
 """
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from oracles import jacobian_reference
-from spark_branch.continuation import (_pack_weights, initial_tangent,
-                                       trace_branch)
+from oracles import bordered_matrix, jacobian_reference
+from spark_branch.continuation import _pack_weights, initial_tangent
 from spark_branch.grid import RadialGrid
-from spark_branch.steady import (admissibility, bordered_matrix,
-                                 dresidual_dlambda, jacobian, pack,
-                                 trivial_state, unpack)
+from spark_branch.steady import (admissibility, dresidual_dlambda,
+                                 jacobian, pack, trivial_state, unpack)
 
 from conftest import PARAMS
 
@@ -36,14 +34,6 @@ def _bmat(J, col, row, corner):
         [[J, col[:, None]],
          [scipy.sparse.csr_matrix(row[None, :]), np.array([[corner]])]],
         format="csc")
-
-
-@pytest.fixture(scope="module")
-def short_branch(cache):
-    """n=65 trace at (2,3,1) to lambda_dagger + 0.05 (about 55 points)."""
-    g = cache.grid(65)
-    lam_dagger = cache.spark("(2,3,1)", 65).lambda_dagger
-    return trace_branch(P1, g, limits={"lambda_cap": lam_dagger + 0.05})
 
 
 @pytest.mark.parametrize("n", [33, 65])

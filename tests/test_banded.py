@@ -1,0 +1,171 @@
+"""The band LU and its bordered solves against SuperLU.
+
+steady.BandLU factors the Jacobian in LAPACK band storage and solves
+bordered systems by block elimination.  Its solutions are compared with
+SuperLU on the explicitly bordered matrix (oracles.SuperLUBordered), in
+both orientations, at departure, at the singular trivial state of the
+discrete bifurcation point and along a short trace; a trace run on the
+SuperLU oracle must match the production trace point for point.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import SuperLUBordered, bordered_matrix
+from spark_branch import continuation, steady
+from spark_branch.continuation import (_pack_weights, initial_tangent,
+                                       tangent_and_sigma, trace_branch)
+from spark_branch.steady import (BandLU, SingularJacobian, _band_layout,
+                                 dresidual_dlambda, jacobian, newton_solve,
+                                 pack, trivial_state, unpack)
+from spark_branch.validation import discrete_bifurcation_pair
+
+from conftest import PARAMS
+
+P1 = PARAMS["(2,3,1)"]
+BACKWARD_TOL = 1e-14
+AGREE_TOL = 1e-10
+
+
+def _backward_error(A, x, b):
+    """Normwise backward error |b - A x| / (|A| |x| + |b|), max norms."""
+    norm_A = abs(A).sum(axis=1).max()
+    return np.abs(b - A @ x).max() / (norm_A * np.abs(x).max()
+                                      + np.abs(b).max())
+
+
+def _check_against_superlu(J, grid, col, row, corner, seed=0):
+    A = bordered_matrix(J, col, row, corner)
+    lu = BandLU(J, grid, col, row, corner)
+    ref = SuperLUBordered(J, grid, col, row, corner)
+    b = np.random.default_rng(seed).standard_normal(A.shape[0])
+    for trans, M in ((False, A), (True, A.T)):
+        x = lu.solve(b, trans=trans)
+        x_ref = ref.solve(b, trans=trans)
+        assert _backward_error(M, x, b) <= BACKWARD_TOL
+        assert np.abs(x - x_ref).max() <= AGREE_TOL * np.abs(x_ref).max()
+
+
+def _departure(cache, n, h):
+    """State h along the initial tangent and the tangent border there."""
+    g = cache.grid(n)
+    lam_dagger = cache.spark("(2,3,1)", n).lambda_dagger
+    t = initial_tangent(lam_dagger, cache.triple("(2,3,1)", n), g)
+    st = unpack(lam_dagger + h * t.dlam, h * t.x, g)
+    return g, st, t
+
+
+@pytest.mark.parametrize("n", [33, 65, 257])
+def test_bandwidth_from_the_pattern(n):
+    lay = _band_layout(steady.RadialGrid(n))
+    assert (lay.kl, lay.ku) == (6, 5)
+
+
+@pytest.mark.parametrize("n", [65, 257])
+@pytest.mark.parametrize("h", [1e-3, 1e-6])
+def test_bordered_solve_at_departure(cache, n, h):
+    g, st, t = _departure(cache, n, h)
+    _check_against_superlu(jacobian(st, P1, g), g,
+                           dresidual_dlambda(st, P1, g),
+                           _pack_weights(g) * t.x, t.dlam)
+
+
+def test_bordered_solve_at_singular_jacobian(cache):
+    """Trivial state at the discrete bifurcation point, where J is
+    singular; the border is the one of the pair's own Newton system."""
+    g = cache.grid(65)
+    lam = cache.spark("(2,3,1)", 65).lambda_dagger
+    tri = cache.triple("(2,3,1)", 65)
+    lam_star, phi = discrete_bifurcation_pair(
+        lam, pack(steady.State(lam, tri.phi_i, tri.phi_e, tri.phi_v)), P1, g)
+    J = jacobian(trivial_state(lam_star, g), P1, g)
+    eps = 1e-6
+    col = (jacobian(trivial_state(lam_star + eps, g), P1, g) @ phi
+           - jacobian(trivial_state(lam_star - eps, g), P1, g) @ phi) / (2 * eps)
+    assert np.abs(J @ phi).max() <= 1e-7 * abs(J).max()
+    _check_against_superlu(J, g, col, _pack_weights(g) * phi, 0.0)
+
+
+def test_bordered_and_plain_solves_along_short_trace(short_branch):
+    g = short_branch.grid
+    pw = _pack_weights(g)
+    pts = short_branch.points
+    for k, (prev, point) in enumerate(zip(pts[1:], pts[2:])):
+        st = point.state
+        J = jacobian(st, P1, g)
+        _check_against_superlu(J, g, dresidual_dlambda(st, P1, g),
+                               pw * (pack(st) - pack(prev.state)),
+                               st.lam - prev.state.lam, seed=k)
+        # J alone is nearly singular near departure, so two stable
+        # solvers may differ by cond(J) eps; the backward error may not.
+        b = np.random.default_rng(k).standard_normal(J.shape[0])
+        for trans, M in ((False, J), (True, J.T)):
+            x = BandLU(J, g).solve(b, trans=trans)
+            assert _backward_error(M, x, b) <= BACKWARD_TOL
+
+
+# -------------------------------------------------------------- failures
+
+def test_singular_border_raises_everywhere(cache):
+    """h = 0 departure state: F_lambda = 0 and a zero corner make the
+    bordered matrix exactly singular."""
+    g, st, t = _departure(cache, 65, 0.0)
+    col = dresidual_dlambda(st, P1, g)
+    assert not col.any() and t.dlam == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        BandLU(jacobian(st, P1, g), g, col, _pack_weights(g) * t.x, 0.0)
+    assert tangent_and_sigma(st, t, P1, g) == (None, 0.0)
+
+    pw = _pack_weights(g)
+
+    def constraint(s):
+        return np.dot(pw * t.x, pack(s)) - 1e-3, pw * t.x, 0.0
+
+    with pytest.raises(SingularJacobian):
+        newton_solve(st, P1, g, mode="extended", constraint=constraint)
+
+
+@pytest.mark.parametrize("damage", ["zero_column", "nan"])
+def test_degenerate_jacobian_maps_to_typed_failures(cache, monkeypatch, damage):
+    g, st, t = _departure(cache, 65, 1e-3)
+    good = steady.jacobian
+
+    def broken(state, p, grid):
+        J = good(state, p, grid)
+        if damage == "nan":
+            J.data[0] = np.nan
+        else:
+            J = J.tocsc()
+            J.data[J.indptr[5]:J.indptr[6]] = 0.0
+            J = J.tocsr()
+        return J
+
+    if damage == "zero_column":
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            BandLU(broken(st, P1, g), g)
+    monkeypatch.setattr(steady, "jacobian", broken)
+    monkeypatch.setattr(continuation, "jacobian", broken)
+    guess = unpack(st.lam, 1.01 * pack(st), g)
+    with pytest.raises(SingularJacobian):
+        newton_solve(guess, P1, g)
+    assert tangent_and_sigma(st, t, P1, g) == (None, 0.0)
+
+
+# ------------------------------------------------------------ trace match
+
+def test_trace_matches_superlu_trace(short_branch, monkeypatch):
+    monkeypatch.setattr(steady, "BandLU", SuperLUBordered)
+    monkeypatch.setattr(continuation, "BandLU", SuperLUBordered)
+    g = short_branch.grid
+    ref = trace_branch(P1, g, limits={
+        "lambda_cap": short_branch.lambda_dagger + 0.05})
+    assert ref.termination.kind == short_branch.termination.kind
+    assert len(ref.points) == len(short_branch.points)
+    for a, b in zip(ref.points, short_branch.points):
+        assert a.diagnostics["newton_iters"] == b.diagnostics["newton_iters"]
+        assert abs(a.state.lam - b.state.lam) <= 1e-10
+    # sigma_min comes from eight unrefined inverse-power steps on either
+    # factorization; they agree to well below the warning threshold.
+    sig = np.array([[a.diagnostics["sigma_min"], b.diagnostics["sigma_min"]]
+                    for a, b in zip(ref.points[1:], short_branch.points[1:])])
+    np.testing.assert_allclose(sig[:, 1], sig[:, 0], rtol=1e-5)
