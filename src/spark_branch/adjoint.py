@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.integrate import cumulative_trapezoid
 
 from .electron import ElectronSolution, emission_kernel
@@ -94,35 +95,41 @@ def nullspace_triple(lam: float, u_dagger: ElectronSolution, p: Parameters,
 # Reduced matrix of the linearization at the trivial state (second order).
 # Unknown layout: [S_i at nodes 1..n-1 | S_e at nodes 1..n-1 | W at 1..n-2];
 # rows: transport at 1..n-1, electron at 1..n-2, potential at 1..n-2, and the
-# scalar cathode-emission row.  Square of size 3n-4.
+# scalar cathode-emission row.  Square of size 3n-4 with 13n-21 nonzeros,
+# assembled as a canonical scipy.sparse CSR matrix; nullspace_residual
+# applies it as a sparse product and only svd_probe densifies it (n <= 257).
 # ---------------------------------------------------------------------------
-
-def _layout(n):
-    # unknown-block sizes; the row blocks are n-1 (transport), n-2 (electron),
-    # n-2 (potential) and the scalar emission row, matching the total
-    ni = n - 1
-    ne = n - 1
-    nv = n - 2
-    return ni, ne, nv, ni + ne + nv
-
 
 def pack_triple(triple: NullTriple) -> np.ndarray:
     return np.concatenate([triple.phi_i[1:], triple.phi_e[1:], triple.phi_v[1:-1]])
 
 
-def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray:
-    """Dense reduced matrix of the four linearized rows at the trivial state."""
+def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
+    """Sparse reduced matrix of the four linearized rows at the trivial state.
+
+    Every entry is computed once, by the same floating-point expression
+    whatever the node, and written into an otherwise empty matrix; exact
+    zeros are dropped.  The result is canonical CSR (sorted, no duplicates).
+    """
     n = grid.n
     d = grid.delta
     r = grid.r
-    ni, ne, nv, dim = _layout(n)
-    oi, oe, ov = 0, ni, ni + ne
+    oe, ov = n - 1, 2 * n - 2          # first S_e and W unknown
+    row_oe, row_ov = n - 1, 2 * n - 3  # first electron and potential row
+    dim = 3 * n - 4
+    rows, cols, vals = [], [], []
+
+    def put(row, col, val):
+        row, col = np.broadcast_arrays(row, col)
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(np.broadcast_to(val, row.shape).ravel())
 
     h = townsend_h(lam * node_dH(grid), p)
     emh = np.exp(-0.5 * lam * node_H(grid))
-    A = np.zeros((dim, dim))
-    row_oe = n - 1          # first electron row (transport block has n-1 rows)
-    row_ov = row_oe + (n - 2)
+    j = np.arange(1, n - 1)    # interior nodes; row j - 1 of each block
+    jl = j[1:]                 # nodes whose left neighbour is an unknown
+    cathode = np.arange(n - 4, n - 1)
 
     # Transport rows, finite-volume form: 2 k_i lam S_i' - k_e r^2 h e^{-lam H/2} S_e
     # integrated over the two-cell stencil and divided by 2 delta r_j^2.  The
@@ -131,60 +138,47 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray
     # integral-built phi_i satisfies.
     coef = 2.0 * p.k_i * lam / r ** 2
     s = p.k_e * r ** 2 * h * emh
-    for j in range(1, n - 1):
-        row = j - 1
-        if j >= 2:
-            A[row, oi + j - 2] += coef[j] * (-1.0 / (2 * d))
-            A[row, oe + j - 2] += -0.25 * s[j - 1] / r[j] ** 2
-        A[row, oi + j] += coef[j] * (1.0 / (2 * d))
-        A[row, oe + j - 1] += -0.5 * s[j] / r[j] ** 2
-        A[row, oe + j] += -0.25 * s[j + 1] / r[j] ** 2
-    row = n - 2   # cathode node, one-sided stencils
-    A[row, oi + n - 4] += coef[-1] * (1.0 / (2 * d))
-    A[row, oi + n - 3] += coef[-1] * (-4.0 / (2 * d))
-    A[row, oi + n - 2] += coef[-1] * (3.0 / (2 * d))
-    A[row, oe + n - 4] += 0.25 * s[n - 3] / r[-1] ** 2
-    A[row, oe + n - 3] += -0.5 * s[n - 2] / r[-1] ** 2
-    A[row, oe + n - 2] += -0.75 * s[n - 1] / r[-1] ** 2
+    put(jl - 1, jl - 2, coef[jl] * (-1.0 / (2 * d)))
+    put(jl - 1, oe + jl - 2, -0.25 * s[jl - 1] / r[jl] ** 2)
+    put(j - 1, j, coef[j] * (1.0 / (2 * d)))
+    put(j - 1, oe + j - 1, -0.5 * s[j] / r[j] ** 2)
+    put(j - 1, oe + j, -0.25 * s[j + 1] / r[j] ** 2)
+    put(n - 2, cathode, coef[-1] * (np.array([1.0, -4.0, 3.0]) / (2 * d)))
+    put(n - 2, oe + cathode, np.array([0.25, -0.5, -0.75]) * s[n - 3:] / r[-1] ** 2)
 
     # electron rows at j=1..n-2: -(S_e'' + (2/r) S_e') - g S_e
     q = g_fn(lam * node_dH(grid), p)
     sub, diag, sup = sturm_liouville_rows(grid, q)
-    for j in range(1, n - 1):
-        row = row_oe + (j - 1)
-        if j >= 2:
-            A[row, oe + j - 2] += sub[j]
-        A[row, oe + j - 1] += diag[j]
-        A[row, oe + j] += sup[j]
+    put(row_oe + jl - 1, oe + jl - 2, sub[jl])
+    put(row_oe + j - 1, oe + j - 1, diag[j])
+    put(row_oe + j - 1, oe + j, sup[j])
 
     # potential rows at j=1..n-2: lap W - S_i + e^{-lam H/2} S_e
     sub0, diag0, sup0 = sturm_liouville_rows(grid, np.zeros(n))
-    for j in range(1, n - 1):
-        row = row_ov + (j - 1)
-        if j >= 2:
-            A[row, ov + j - 2] += -sub0[j]
-        A[row, ov + j - 1] += -diag0[j]
-        if j <= n - 3:
-            A[row, ov + j] += -sup0[j]
-        A[row, oi + j - 1] += -1.0
-        A[row, oe + j - 1] += emh[j]
+    put(row_ov + jl - 1, ov + jl - 2, -sub0[jl])
+    put(row_ov + j - 1, ov + j - 1, -diag0[j])
+    put(row_ov + j[:-1] - 1, ov + j[:-1], -sup0[j[:-1]])
+    put(row_ov + j - 1, j - 1, -1.0)
+    put(row_ov + j - 1, oe + j - 1, emh[j])
 
     # cathode-emission row
-    row = dim - 1
-    A[row, oe + n - 4] += 1.0 / (2 * d)
-    A[row, oe + n - 3] += -4.0 / (2 * d)
-    A[row, oe + n - 2] += 3.0 / (2 * d) + 0.25 * lam
-    A[row, oi + n - 2] += -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam)
+    put(dim - 1, oe + cathode,
+        np.array([1.0 / (2 * d), -4.0 / (2 * d), 3.0 / (2 * d) + 0.25 * lam]))
+    put(dim - 1, n - 2, -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam))
+
+    A = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    A.eliminate_zeros()
     return A
 
 
 def nullspace_residual(lam: float, triple: NullTriple, p: Parameters,
                        grid: RadialGrid) -> dict:
-    """Weighted norms of the four linearized rows applied to the triple."""
+    """Weighted norms of the four linearized rows applied to the triple
+    (one sparse matrix-vector product)."""
     n = grid.n
-    A = linearized_matrix(lam, p, grid)
-    vec = pack_triple(triple)
-    res = A @ vec
+    res = linearized_matrix(lam, p, grid) @ pack_triple(triple)
     r2w = grid.r2w
     row_oe = n - 1
     row_ov = row_oe + (n - 2)
@@ -198,11 +192,13 @@ def nullspace_residual(lam: float, triple: NullTriple, p: Parameters,
 
 
 def svd_probe(lam: float, p: Parameters, grid: RadialGrid) -> tuple:
-    """Two smallest singular values of the reduced linearization (dense SVD;
-    meant for n <= 257)."""
+    """Two smallest singular values of the reduced linearization.
+
+    The only place the sparse matrix is densified: a full SVD of the
+    (3n-4)^2 array, so the probe is limited to n <= 257."""
     if grid.n > 257:
         raise ValueError("dense SVD probe is limited to n <= 257")
-    sigma = np.linalg.svd(linearized_matrix(lam, p, grid), compute_uv=False)
+    sigma = np.linalg.svd(linearized_matrix(lam, p, grid).toarray(), compute_uv=False)
     return float(sigma[-1]), float(sigma[-2])
 
 

@@ -27,7 +27,7 @@ from .adjoint import (adjoint_identity_check, nullspace_residual,
 from .electron import (NoSignChange, SolverFailure,
                        auxiliary_U_cathode_slope, auxiliary_U_solve_gap,
                        boundary_functional, critical_gamma, sparking_voltage)
-from .grid import MIN_NODES, RadialGrid
+from .grid import MIN_NODES, BandedSolveError, RadialGrid
 from .model import Parameters, g_fn, harmonic_H, in_gamma_region
 from . import continuation, steady
 
@@ -212,7 +212,7 @@ def _scan_axis_row(cfg: RunConfig, axis: str, value: float):
         f_val = transversality_F(lam, spark.u_dagger, w_sol, p, grid)
         cg = critical_gamma(lam, p, grid)
         return value, lam, abs(f_val), cg
-    except Exception:
+    except (NoSignChange, SolverFailure, BandedSolveError):
         return value, float("nan"), float("nan"), float("nan")
 
 

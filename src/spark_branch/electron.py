@@ -174,15 +174,17 @@ def _scan_schedule(lambda_max: float) -> np.ndarray:
     return np.concatenate([geo, uniform])
 
 
-def _illinois(fn, lo, hi, flo, fhi, ftol, max_iter=200):
-    """Modified regula falsi; stops when |f| <= ftol.  Returns (x, fx, lo, hi)."""
+def _illinois(solve, lo, hi, flo, fhi, ftol, max_iter=200):
+    """Modified regula falsi on B; stops when |B| <= ftol.  solve(x) returns
+    the ElectronSolution at x.  Returns (solution at the root, lo, hi)."""
     for _ in range(max_iter):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         if not (lo < x < hi):
             x = 0.5 * (lo + hi)
-        fx = fn(x)
+        sol = solve(x)
+        fx = sol.B_value
         if abs(fx) <= ftol:
-            return x, fx, lo, hi
+            return sol, lo, hi
         if fx > 0.0:
             lo, flo = x, fx
             fhi *= 0.5
@@ -190,7 +192,7 @@ def _illinois(fn, lo, hi, flo, fhi, ftol, max_iter=200):
             hi, fhi = x, fx
             flo *= 0.5
         if hi - lo < 1e-15 * max(1.0, hi):
-            return x, fx, lo, hi
+            return sol, lo, hi
     raise SolverFailure(f"root refinement stalled: |B|={abs(fx):.3e} > tol={ftol:.1e}")
 
 
@@ -203,60 +205,56 @@ def sparking_voltage(p: Parameters, grid: RadialGrid,
     Scans 64 geometric points on [1e-2, 1] then uniform 0.25 steps up to
     lambda_max, stops at the first positive-to-negative change of B, then
     refines the bracket until |B| <= tol.  Raises NoSignChange when B stays
-    positive on the whole schedule.
+    positive on the whole schedule.  Each voltage is solved once: the
+    returned profile is the solve that produced the root's B.
     """
-    def B_of(lam):
-        return boundary_B(solve_electron(lam, p, grid, normalization), p, grid)
+    def solve(lam):
+        return solve_electron(lam, p, grid, normalization)
 
     schedule = _scan_schedule(lambda_max)
-    scanned, values, positives = [], [], []
 
-    lam_prev = schedule[0]
-    B_prev = B_of(lam_prev)
+    sol_prev = solve(schedule[0])
     # B -> u'(2) > 0 as lambda -> 0; if even the smallest scan point is past
     # the first root, walk the scan start down a few decades.
-    extend = lam_prev
-    while B_prev <= 0.0 and extend > 1e-12:
+    extend = schedule[0]
+    while sol_prev.B_value <= 0.0 and extend > 1e-12:
         extend *= 0.1
-        lam_prev = extend
-        B_prev = B_of(lam_prev)
-    if B_prev <= 0.0:
+        sol_prev = solve(extend)
+    if sol_prev.B_value <= 0.0:
         raise SolverFailure("B nonpositive down to lambda=1e-12; no positive start")
 
-    sol_prev = solve_electron(lam_prev, p, grid, normalization)
-    scanned.append(lam_prev)
-    values.append(B_prev)
-    positives.append(sol_prev.positive)
+    scanned = [sol_prev.lam]
+    values = [sol_prev.B_value]
+    positives = [sol_prev.positive]
 
-    bracket = None
-    for lam in schedule[schedule > lam_prev]:
-        sol = solve_electron(lam, p, grid, normalization)
-        B = boundary_B(sol, p, grid)
+    sol_hi = None
+    for lam in schedule[schedule > sol_prev.lam]:
+        sol = solve(lam)
         scanned.append(lam)
-        values.append(B)
+        values.append(sol.B_value)
         positives.append(sol.positive)
-        if B <= 0.0:
-            bracket = (lam_prev, lam, B_prev, B)
+        if sol.B_value <= 0.0:
+            sol_hi = sol
             break
-        lam_prev, B_prev = lam, B
+        sol_prev = sol
 
     scan_lambdas = np.array(scanned)
     scan_B = np.array(values)
     scan_positive = np.array(positives, dtype=bool)
 
-    if bracket is None:
+    if sol_hi is None:
         raise NoSignChange(
             f"B stayed positive on [{scan_lambdas[0]:.3g}, {lambda_max:.3g}]",
             scan_lambdas, scan_B)
 
-    lo, hi, flo, fhi = bracket
-    if fhi == 0.0:
-        root, froot = hi, fhi
+    lo, hi = sol_prev.lam, sol_hi.lam
+    if sol_hi.B_value == 0.0:
+        u_dagger = sol_hi
     else:
-        root, froot, lo, hi = _illinois(B_of, lo, hi, flo, fhi, tol)
-    u_dagger = solve_electron(root, p, grid, normalization)
-    return SparkingResult(lambda_dagger=float(root), bracket=(float(lo), float(hi)),
-                          residual_B=float(froot), u_dagger=u_dagger,
+        u_dagger, lo, hi = _illinois(solve, lo, hi, sol_prev.B_value,
+                                     sol_hi.B_value, tol)
+    return SparkingResult(lambda_dagger=float(u_dagger.lam), bracket=(float(lo), float(hi)),
+                          residual_B=float(u_dagger.B_value), u_dagger=u_dagger,
                           scan_lambdas=scan_lambdas, scan_B=scan_B,
                           scan_positive=scan_positive)
 

@@ -198,6 +198,20 @@ def test_scan_failures_become_nan_rows(tmp_path):
     assert np.isfinite(second).all()
 
 
+def test_scan_bug_propagates_instead_of_nan_row(tmp_path, monkeypatch):
+    # only solver failures become NaN rows; anything else is a bug and raises
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(cli, "critical_gamma", broken)
+    out = tmp_path / "scan.csv"
+    with pytest.raises(TypeError, match="not a solver failure"):
+        cli.main(["scan", "--grid-n", "65", "--axis", "gamma",
+                  "--range", "1.0", "1.0", "--count", "1",
+                  "--out", str(out)])
+    assert not out.exists()
+
+
 def test_scan_thread_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SPARK_BRANCH_THREADS", "1")
     out = tmp_path / "scan.csv"

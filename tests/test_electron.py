@@ -91,6 +91,29 @@ def test_no_sign_change_reports_scan(cache):
     assert np.all(exc.value.scan_B > 0.0)
 
 
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_sparking_voltage_solves_each_voltage_once(key, cache, monkeypatch):
+    from spark_branch import electron
+
+    g = cache.grid(257)
+    p = PARAMS[key]
+    seen = []
+    original = electron.solve_electron
+
+    def recording(lam, *args, **kwargs):
+        seen.append(float(lam))
+        return original(lam, *args, **kwargs)
+
+    monkeypatch.setattr(electron, "solve_electron", recording)
+    sp = sparking_voltage(p, g)
+    assert len(seen) == len(set(seen))
+    # the returned profile is the root's own solve, not a re-solve
+    assert seen[-1] == sp.lambda_dagger == sp.u_dagger.lam
+    fresh = original(sp.lambda_dagger, p, g)
+    assert np.array_equal(sp.u_dagger.u, fresh.u)
+    assert sp.residual_B == fresh.B_value == boundary_B(fresh, p, g)
+
+
 def test_critical_gamma_round_trip(cache):
     p = PARAMS["(2,3,1)"]
     g = cache.grid(257)
