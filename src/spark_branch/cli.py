@@ -191,7 +191,8 @@ def cmd_branch(cfg: RunConfig) -> int:
     except NoSignChange as exc:
         print(f"no sparking voltage, no branch: {exc}", file=sys.stderr)
         return EXIT_NO_SPARK
-    except Exception as exc:
+    except (SolverFailure, BandedSolveError, steady.NewtonError,
+            steady.AdmissibilityError, np.linalg.LinAlgError) as exc:
         # Partial output is still worth flushing for a post-mortem.
         _write_text(cfg.out, BRANCH_HEADER + "\n# termination=error\n")
         print(f"branch trace failed: {exc}", file=sys.stderr)
@@ -374,7 +375,9 @@ def cmd_validate(cfg: RunConfig, list_only: bool = False) -> int:
         try:
             measured, bound = fn(cfg, ctx)
             ok = measured <= bound
-        except Exception as exc:
+        except (NoSignChange, SolverFailure, BandedSolveError,
+                steady.NewtonError, np.linalg.LinAlgError, ValueError) as exc:
+            # ValueError also covers steady.AdmissibilityError
             measured, bound, ok = float("nan"), float("nan"), False
             print(f"{name:32s} {'error':>13s} {'':>13s}  FAIL ({exc})")
             failures += 1

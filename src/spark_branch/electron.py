@@ -15,6 +15,10 @@ as lambda -> 0 (it tends to u'(2)) and goes negative at high voltage when
 gamma * a > 1, so a first sign change exists in the emission-dominated
 parameter region.
 
+sparking_voltage scans a fixed voltage schedule for the first sign change
+and refines it by Newton on B inside the scan bracket, with the exact
+dB/dlambda of the discrete B from one more tridiagonal solve.
+
 All exponentials are evaluated with analytically combined exponents; for
 lambda <= 1e3 and r in [1,2] no intermediate exceeds exp(lambda).
 """
@@ -26,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (GridFunction, RadialGrid, BandedSolveError, boundary_derivative,
-                   integrate, node_dH, solve_sl_dirichlet_robin)
-from .model import Parameters, g_fn
+                   integrate, node_dH, solve_sl_dirichlet, solve_sl_dirichlet_robin,
+                   sturm_liouville_rows)
+from .model import Parameters, g_fn, g_prime
 
 LAMBDA_SCAN_MIN = 1e-2
 LAMBDA_MAX_DEFAULT = 100.0
@@ -56,6 +61,7 @@ class ElectronSolution:
     du_cathode: float        # cathode slope in the sense of the imposed row
     B_value: float
     positive: bool
+    normalization: str       # "slope" or "value": the imposed cathode row
 
 
 @dataclass
@@ -82,49 +88,56 @@ def emission_kernel(lam: float, grid: RadialGrid, p: Parameters) -> np.ndarray:
 
 def solve_electron(lam: float, p: Parameters, grid: RadialGrid,
                    normalization: str = "slope") -> ElectronSolution:
-    """Banded collocation solve of the electron system.
+    """Tridiagonal collocation solve of the electron system.
 
     normalization="slope" imposes u'(2)=1 through the one-sided stencil row
     (the default); "value" imposes u(2)=1 instead.  Both give the same
     one-dimensional solution family up to a positive factor, so the root of
-    B does not depend on the choice.
+    B does not depend on the choice.  u(1) = 0, and u(2) = 1 for "value",
+    hold exactly.
     """
+    if normalization not in ("slope", "value"):
+        raise ValueError("normalization must be 'slope' or 'value'")
     q = g_fn(lam * node_dH(grid), p)
-    try:
-        if normalization == "slope":
-            u = solve_sl_dirichlet_robin(grid, q, 0.0, 1.0)
-            du = 1.0
-        elif normalization == "value":
-            u = _solve_cathode_value(grid, q)
-            du = boundary_derivative(u, grid, "cathode")
-        else:
-            raise ValueError("normalization must be 'slope' or 'value'")
-    except BandedSolveError as exc:
-        raise SolverFailure(f"electron solve failed at lambda={lam}: {exc}") from exc
+    u = _solve_rows(lam, grid, q, 0.0, 1.0, normalization)
+    du = 1.0 if normalization == "slope" else boundary_derivative(u, grid, "cathode")
     sol = ElectronSolution(lam=lam, u=u, du_cathode=du, B_value=np.nan,
-                           positive=bool(np.all(u[1:] > 0.0)))
+                           positive=bool(np.all(u[1:] > 0.0)),
+                           normalization=normalization)
     sol.B_value = boundary_B(sol, p, grid)
     return sol
 
 
-def _solve_cathode_value(grid: RadialGrid, q):
-    # Dirichlet normalization variant u(2)=1, used by the invariance check.
-    import scipy.linalg
+def _solve_rows(lam, grid, q, f, cathode_data, normalization):
+    """The electron rows with interior forcing f and the cathode row of the
+    normalization (slope or value) set to cathode_data."""
+    try:
+        if normalization == "slope":
+            return solve_sl_dirichlet_robin(grid, q, f, cathode_data)
+        return solve_sl_dirichlet(grid, q, f, cathode_data)
+    except BandedSolveError as exc:
+        raise SolverFailure(f"electron solve failed at lambda={lam}: {exc}") from exc
 
-    n = grid.n
-    from .grid import sturm_liouville_rows
-    sub, diag, sup = sturm_liouville_rows(grid, q)
-    ab = np.zeros((3, n))
-    ab[0, 2:] = sup[1:-1]
-    ab[1, 1:-1] = diag[1:-1]
-    ab[2, :-2] = sub[1:-1]
-    ab[1, 0] = ab[1, -1] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    u = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(u)):
-        raise BandedSolveError("non-finite cathode-value solve")
-    return u
+
+def dB_dlambda(sol: ElectronSolution, p: Parameters, grid: RadialGrid) -> float:
+    """Exact lambda-derivative of the discrete B along the solve_electron
+    profiles normalized like sol: B_lambda = u_lambda'(2) + u(2)/4
+    + (lambda/4) u_lambda(2) - gamma int (p_lambda u + p u_lambda) dr, with
+    p_lambda = p (1/lambda - 1/2 + 1/r + b r^2/(2 lambda^2)).  u_lambda solves
+    the rows of u with interior forcing g'(lambda H') H' u and zero data in
+    both boundary rows: one more tridiagonal solve."""
+    lam, u = sol.lam, sol.u
+    dH = node_dH(grid)
+    q = g_fn(lam * dH, p)
+    u_lam = _solve_rows(lam, grid, q, g_prime(lam * dH, p) * dH * u, 0.0,
+                        sol.normalization)
+    du_lam = 0.0 if sol.normalization == "slope" else \
+        boundary_derivative(u_lam, grid, "cathode")
+    r = grid.r
+    kern = emission_kernel(lam, grid, p)
+    dkern = kern * (1.0 / lam - 0.5 + 1.0 / r + p.b * r ** 2 / (2.0 * lam ** 2))
+    return float(du_lam + 0.25 * u[-1] + 0.25 * lam * u_lam[-1]
+                 - p.gamma * integrate(dkern * u + kern * u_lam, grid))
 
 
 def boundary_functional(lam: float, u: GridFunction, p: Parameters, grid: RadialGrid,
@@ -174,11 +187,14 @@ def _scan_schedule(lambda_max: float) -> np.ndarray:
     return np.concatenate([geo, uniform])
 
 
-def _illinois(solve, lo, hi, flo, fhi, ftol, max_iter=200):
-    """Modified regula falsi on B; stops when |B| <= ftol.  solve(x) returns
-    the ElectronSolution at x.  Returns (solution at the root, lo, hi)."""
+def _safeguarded_newton(solve, slope, lo, hi, flo, fhi, ftol, max_iter=200):
+    """Newton on B inside the sign bracket B(lo) > 0 > B(hi), from its regula
+    falsi point; an iterate outside the current bracket is replaced by the
+    midpoint, so no voltage is solved twice.  solve(x) returns the
+    ElectronSolution at x, slope(sol) its dB/dlambda.  Stops when |B| <= ftol
+    or the bracket collapses; returns (solution at the root, lo, hi)."""
+    x = hi - fhi * (hi - lo) / (fhi - flo)
     for _ in range(max_iter):
-        x = hi - fhi * (hi - lo) / (fhi - flo)
         if not (lo < x < hi):
             x = 0.5 * (lo + hi)
         sol = solve(x)
@@ -186,13 +202,13 @@ def _illinois(solve, lo, hi, flo, fhi, ftol, max_iter=200):
         if abs(fx) <= ftol:
             return sol, lo, hi
         if fx > 0.0:
-            lo, flo = x, fx
-            fhi *= 0.5
+            lo = x
         else:
-            hi, fhi = x, fx
-            flo *= 0.5
+            hi = x
         if hi - lo < 1e-15 * max(1.0, hi):
             return sol, lo, hi
+        d = slope(sol)
+        x = x - fx / d if d else 0.5 * (lo + hi)
     raise SolverFailure(f"root refinement stalled: |B|={abs(fx):.3e} > tol={ftol:.1e}")
 
 
@@ -204,9 +220,10 @@ def sparking_voltage(p: Parameters, grid: RadialGrid,
 
     Scans 64 geometric points on [1e-2, 1] then uniform 0.25 steps up to
     lambda_max, stops at the first positive-to-negative change of B, then
-    refines the bracket until |B| <= tol.  Raises NoSignChange when B stays
-    positive on the whole schedule.  Each voltage is solved once: the
-    returned profile is the solve that produced the root's B.
+    refines the bracket by safeguarded Newton until |B| <= tol.  Raises
+    NoSignChange when B stays positive on the whole schedule.  Each voltage
+    is solved once: the returned profile is the solve that produced the
+    root's B.
     """
     def solve(lam):
         return solve_electron(lam, p, grid, normalization)
@@ -251,8 +268,9 @@ def sparking_voltage(p: Parameters, grid: RadialGrid,
     if sol_hi.B_value == 0.0:
         u_dagger = sol_hi
     else:
-        u_dagger, lo, hi = _illinois(solve, lo, hi, sol_prev.B_value,
-                                     sol_hi.B_value, tol)
+        u_dagger, lo, hi = _safeguarded_newton(
+            solve, lambda sol: dB_dlambda(sol, p, grid), lo, hi,
+            sol_prev.B_value, sol_hi.B_value, tol)
     return SparkingResult(lambda_dagger=float(u_dagger.lam), bracket=(float(lo), float(hi)),
                           residual_B=float(u_dagger.B_value), u_dagger=u_dagger,
                           scan_lambdas=scan_lambdas, scan_B=scan_B,
@@ -325,8 +343,6 @@ def auxiliary_U_stencil_residual(lam: float, grid: RadialGrid) -> float:
     """Max-norm of the raw interior stencil residual of sampled U; O(delta^2)
     with a large constant at high voltage (the profile steepens near the
     cathode), so only the order is meaningful, not a small constant."""
-    from .grid import sturm_liouville_rows
-
     U = auxiliary_U(lam, grid)
     q = -lam ** 2 / grid.r ** 4
     sub, diag, sup = sturm_liouville_rows(grid, q)

@@ -1,4 +1,4 @@
-"""Uniform radial grid on [1, 2], stencils, quadrature, and banded solves.
+"""Uniform radial grid on [1, 2], stencils, quadrature, and tridiagonal solves.
 
 Conventions used throughout the package:
 
@@ -6,7 +6,10 @@ Conventions used throughout the package:
 * trapezoid weights (sum = 1) matched to every boundary-functional
   quadrature, so discrete integration-by-parts identities hold to O(delta^2);
 * interior stencils are centered second order, boundary derivatives are
-  one-sided second order (exact on quadratics), no ghost nodes.
+  one-sided second order (exact on quadratics), no ghost nodes;
+* Sturm-Liouville solves pin their Dirichlet values: only the free unknowns
+  enter one tridiagonal LAPACK solve, so u(1) = 0, and u(2) where imposed,
+  hold exactly rather than to the solve's rounding error.
 """
 
 from __future__ import annotations
@@ -111,95 +114,68 @@ def boundary_derivative(u: GridFunction, grid: RadialGrid, end: str) -> float:
 
 
 class BandedSolveError(RuntimeError):
-    """Banded collocation system could not be solved reliably."""
+    """Tridiagonal collocation system could not be solved reliably."""
 
     def __init__(self, message, condition=np.inf):
         super().__init__(message)
         self.condition = condition
 
 
-def _solve_banded_checked(ab, rhs, lower, upper, dense_rebuild):
-    try:
-        x = scipy.linalg.solve_banded((lower, upper), ab, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        cond = _condition_estimate(dense_rebuild)
-        raise BandedSolveError(f"singular collocation system ({exc}); cond~{cond:.3e}",
-                              cond) from exc
-    if not np.all(np.isfinite(x)):
-        cond = _condition_estimate(dense_rebuild)
-        raise BandedSolveError(f"non-finite solve (cond~{cond:.3e})", cond)
-    return x
-
-
-def _condition_estimate(dense_rebuild):
-    A = dense_rebuild()
-    if A.shape[0] > 2049:
-        return np.inf
-    try:
-        return float(np.linalg.cond(A))
-    except np.linalg.LinAlgError:
-        return np.inf
+def _solve_tridiagonal(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    (dl, d, du) by one LAPACK dgtsv call (elimination with partial
+    pivoting).  A zero pivot or a non-finite result raises BandedSolveError
+    with the 1-norm condition number: inf for a zero pivot, else the
+    dgttrf + dgtcon estimate, computed on the failure path only."""
+    _, _, _, x, info = scipy.linalg.lapack.dgtsv(dl, d, du, b, overwrite_b=1)
+    if info == 0 and np.all(np.isfinite(x)):
+        return x
+    cond = np.inf
+    if info == 0:
+        col = np.abs(d)
+        col[:-1] += np.abs(dl)
+        col[1:] += np.abs(du)
+        lu = scipy.linalg.lapack.dgttrf(dl, d, du)
+        rcond, _ = scipy.linalg.lapack.dgtcon(*lu[:5], np.max(col))
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    what = f"singular collocation system (zero pivot {info})" if info > 0 \
+        else "non-finite solve"
+    raise BandedSolveError(f"{what}; cond~{cond:.3e}", cond)
 
 
 def solve_sl_dirichlet_robin(grid: RadialGrid, q, f, cathode_slope: float) -> GridFunction:
     """Solve -u'' - (2/r)u' - q u = f with u(1) = 0, u'(2) = cathode_slope.
 
-    The cathode row imposes the one-sided second-order derivative stencil,
-    which makes the lower bandwidth 2; solved with banded LU.
+    u(1) = 0 holds by construction: the system is solved for u[1:] only.
+    The cathode row imposes the one-sided stencil (1, -4, 3)/(2 delta) and
+    is brought to tridiagonal form by eliminating u[n-3] against the last
+    interior row.
     """
-    n = grid.n
-    d = grid.delta
+    c = 0.5 / grid.delta
     sub, diag, sup = sturm_liouville_rows(grid, q)
-    rhs = np.broadcast_to(np.asarray(f, dtype=float), (n,)).copy()
-    rhs[0] = 0.0
-    rhs[-1] = cathode_slope
-
-    # bands for (l, u) = (2, 1): ab[1 + i - j, j] = A[i, j]
-    ab = np.zeros((4, n))
-    ab[0, 2:] = sup[1:-1]          # A[j, j+1]
-    ab[1, 1:-1] = diag[1:-1]       # A[j, j]
-    ab[2, :-2] = sub[1:-1]         # A[j, j-1]
-    ab[1, 0] = 1.0                 # Dirichlet anode row
-    ab[1, -1] = 3.0 / (2.0 * d)    # derivative row at the cathode
-    ab[2, -2] = -2.0 / d
-    ab[3, -3] = 1.0 / (2.0 * d)
-
-    def dense():
-        A = np.zeros((n, n))
-        A[0, 0] = 1.0
-        for j in range(1, n - 1):
-            A[j, j - 1] = sub[j]
-            A[j, j] = diag[j]
-            A[j, j + 1] = sup[j]
-        A[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * d)
-        return A
-
-    return _solve_banded_checked(ab, rhs, 2, 1, dense)
+    m = c / sub[-2]
+    rhs = (np.zeros(grid.n) + f)[1:]
+    rhs[-1] = cathode_slope - m * rhs[-2]
+    u = np.zeros(grid.n)
+    u[1:] = _solve_tridiagonal(np.append(sub[2:-1], -4.0 * c - m * diag[-2]),
+                               np.append(diag[1:-1], 3.0 * c - m * sup[-2]),
+                               sup[1:-1], rhs)
+    return u
 
 
-def solve_sl_dirichlet(grid: RadialGrid, q, f) -> GridFunction:
-    """Solve -u'' - (2/r)u' - q u = f with u(1) = u(2) = 0 (tridiagonal)."""
-    n = grid.n
+def solve_sl_dirichlet(grid: RadialGrid, q, f, cathode_value: float = 0.0) -> GridFunction:
+    """Solve -u'' - (2/r)u' - q u = f with u(1) = 0, u(2) = cathode_value.
+
+    Both boundary values are pinned: the system is solved for the interior
+    values u[1:-1] only, with the cathode value moved to the right-hand side.
+    """
     sub, diag, sup = sturm_liouville_rows(grid, q)
-    rhs = np.broadcast_to(np.asarray(f, dtype=float), (n,)).copy()
-    rhs[0] = rhs[-1] = 0.0
-
-    ab = np.zeros((3, n))
-    ab[0, 2:] = sup[1:-1]
-    ab[1, 1:-1] = diag[1:-1]
-    ab[2, :-2] = sub[1:-1]
-    ab[1, 0] = ab[1, -1] = 1.0
-
-    def dense():
-        A = np.zeros((n, n))
-        A[0, 0] = A[-1, -1] = 1.0
-        for j in range(1, n - 1):
-            A[j, j - 1] = sub[j]
-            A[j, j] = diag[j]
-            A[j, j + 1] = sup[j]
-        return A
-
-    return _solve_banded_checked(ab, rhs, 1, 1, dense)
+    rhs = (np.zeros(grid.n) + f)[1:-1]
+    rhs[-1] -= sup[-2] * cathode_value
+    u = np.zeros(grid.n)
+    u[-1] = cathode_value
+    u[1:-1] = _solve_tridiagonal(sub[2:-1], diag[1:-1], sup[1:-2], rhs)
+    return u
 
 
 def derivative_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:

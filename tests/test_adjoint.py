@@ -16,12 +16,13 @@ from spark_branch.validation import shoot_adjoint_w
 
 @pytest.mark.parametrize("key", sorted(PARAMS))
 def test_adjoint_profile_normalization(key, cache):
-    g = cache.grid(257)
-    w = cache.wsol(key, 257)
-    # w(1) = 0 pinned, w(2) = 1 drops out of the construction to O(delta^2)
-    assert abs(w.w[0]) <= 1e-12
-    assert abs(w.w[-1] - 1.0) <= 2e-4
-    assert w.robin_residual <= 1e-10
+    for n in (257, 1025):
+        w = cache.wsol(key, n)
+        # w(1) = 0 pinned exactly, w(2) = 1 drops out of the construction to
+        # O(delta^2)
+        assert w.w[0] == 0.0
+        assert abs(w.w[-1] - 1.0) <= 2e-4
+        assert w.robin_residual <= 1e-10
 
 
 def test_adjoint_profile_against_shooting(cache):

@@ -164,6 +164,18 @@ def test_branch_without_sign_change_exits_2(tmp_path, capsys):
     assert "no branch" in capsys.readouterr().err
 
 
+def test_branch_bug_propagates_without_partial_csv(tmp_path, monkeypatch):
+    # only typed solver failures become a '# termination=error' file
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(cli.continuation, "trace_branch", broken)
+    out = tmp_path / "branch.csv"
+    with pytest.raises(TypeError, match="not a solver failure"):
+        cli.main(["branch", "--grid-n", "65", "--out", str(out)])
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- scan
 
 def test_scan_rows_and_consistency(tmp_path):
@@ -252,3 +264,14 @@ def test_validate_flags_broken_tolerance(tmp_path, capsys):
     line = next(ln for ln in out.splitlines()
                 if ln.startswith("sparking_residual_B"))
     assert "FAIL" in line
+
+
+def test_validate_bug_propagates_instead_of_failed_check(monkeypatch, capsys):
+    # only typed solver failures become a FAIL line; anything else raises
+    def broken(cfg, ctx):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(cli, "_validation_checks", lambda: [("broken", broken)])
+    with pytest.raises(TypeError, match="not a solver failure"):
+        cli.main(["validate", "--grid-n", "65"])
+    assert "FAIL" not in capsys.readouterr().out

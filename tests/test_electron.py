@@ -8,7 +8,7 @@ from conftest import CONTINUUM, PARAMS
 from spark_branch.model import Parameters, harmonic_H
 from spark_branch.grid import RadialGrid, boundary_derivative
 from spark_branch.electron import (NoSignChange, SolverFailure, solve_electron,
-                                   boundary_functional, boundary_B,
+                                   boundary_functional, boundary_B, dB_dlambda,
                                    critical_gamma, sparking_voltage,
                                    emission_kernel, auxiliary_U,
                                    auxiliary_U_cathode_value,
@@ -112,6 +112,56 @@ def test_sparking_voltage_solves_each_voltage_once(key, cache, monkeypatch):
     fresh = original(sp.lambda_dagger, p, g)
     assert np.array_equal(sp.u_dagger.u, fresh.u)
     assert sp.residual_B == fresh.B_value == boundary_B(fresh, p, g)
+
+
+@pytest.mark.parametrize("n", [257, 1025])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_sparking_voltage_refines_in_few_solves(key, n, cache, monkeypatch):
+    # safeguarded Newton needs a handful of solves beyond the scan
+    from spark_branch import electron
+
+    calls = []
+    original = electron.solve_electron
+
+    def counting(lam, *args, **kwargs):
+        calls.append(lam)
+        return original(lam, *args, **kwargs)
+
+    monkeypatch.setattr(electron, "solve_electron", counting)
+    sp = sparking_voltage(PARAMS[key], cache.grid(n))
+    assert len(calls) - sp.scan_lambdas.size <= 6
+    assert sp.lambda_dagger == pytest.approx(cache.spark(key, n).lambda_dagger,
+                                             abs=1e-9)
+
+
+@pytest.mark.parametrize("normalization", ["slope", "value"])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_dB_dlambda_matches_central_differences(key, normalization, cache):
+    p = PARAMS[key]
+    g = cache.grid(257)
+    for lam in (cache.spark(key, 257).lambda_dagger, 1.0, 20.0):
+        h = 1e-5 * lam
+        fd = (solve_electron(lam + h, p, g, normalization).B_value
+              - solve_electron(lam - h, p, g, normalization).B_value) / (2.0 * h)
+        exact = dB_dlambda(solve_electron(lam, p, g, normalization), p, g)
+        assert abs(exact - fd) <= 1e-6 * abs(exact)
+
+
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_transversality_is_four_times_dB_dlambda(key, cache):
+    # third certificate of the crossing: F = psi_b B_lambda with psi_b = 4 w(2),
+    # independent of the null triple; the gap is second order in delta
+    from spark_branch.adjoint import transversality_F
+
+    p = PARAMS[key]
+    errs = []
+    for n in (129, 257):
+        g = cache.grid(n)
+        sp = cache.spark(key, n)
+        F = transversality_F(sp.lambda_dagger, sp.u_dagger, cache.wsol(key, n), p, g)
+        errs.append(abs(F / dB_dlambda(sp.u_dagger, p, g) - 4.0))
+        assert errs[-1] <= 5.0 * g.delta ** 2
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 def test_critical_gamma_round_trip(cache):

@@ -8,7 +8,9 @@ from spark_branch.grid import (RadialGrid, weighted_inner, integrate,
                                solve_sl_dirichlet_robin, derivative_matrix,
                                laplacian_matrix, derivative_all_nodes,
                                second_derivative_all_nodes,
-                               radial_laplacian_all_nodes, BandedSolveError)
+                               radial_laplacian_all_nodes, sturm_liouville_rows,
+                               node_dH, BandedSolveError)
+from spark_branch.model import Parameters, g_fn
 from spark_branch.validation import convergence_orders
 
 G = RadialGrid(129)
@@ -102,14 +104,55 @@ def test_robin_solver_harmonic_solution():
     assert boundary_derivative(u, G, "cathode") == pytest.approx(1.0, abs=1e-12)
 
 
-def test_banded_solver_reports_singularity():
-    # guard-level check: an exactly singular banded system must surface as
-    # BandedSolveError carrying a condition estimate, not as garbage output
-    from spark_branch.grid import _solve_banded_checked
+def _row_backward_error(g, q, f, u, cathode_slope=None):
+    """max over the unpinned rows of |Au - f| / (|A||u| + |f|), evaluated in
+    extended precision so that it measures the solve, not its own rounding.
+    With cathode_slope the cathode row is the one-sided slope row."""
+    ld = np.longdouble
+    sub, diag, sup = (np.asarray(v, dtype=ld) for v in sturm_liouville_rows(g, q))
+    u = np.asarray(u, dtype=ld)
+    f = np.broadcast_to(np.asarray(f, dtype=ld), (g.n,))
+    j = slice(1, g.n - 1)
+    terms = [sub[j] * u[:-2], diag[j] * u[1:-1], sup[j] * u[2:]]
+    res = [np.abs(sum(terms) - f[j])]
+    scale = [sum(np.abs(t) for t in terms) + np.abs(f[j])]
+    if cathode_slope is not None:
+        c = ld(0.5) / ld(g.delta)
+        terms = [c * u[-3], -4 * c * u[-2], 3 * c * u[-1]]
+        res.append(np.abs([sum(terms) - ld(cathode_slope)]))
+        scale.append([sum(np.abs(t) for t in terms) + abs(ld(cathode_slope))])
+    return float(np.max(np.concatenate(res) / np.concatenate(scale)))
 
-    ab = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+
+@pytest.mark.parametrize("n", [33, 257, 1025, 4097])
+def test_solves_pin_boundary_values_exactly(n):
+    # the Dirichlet values are not unknowns of the solve, so they come out
+    # exact; every remaining row is met to a componentwise backward error
+    # at the rounding level
+    g = RadialGrid(n)
+    q = g_fn(3.574 * node_dH(g), Parameters(2.0, 3.0, 1.0))
+    f = np.exp(-g.r) * np.sin(5.0 * g.r)
+    for forcing, slope in ((0.0, 1.0), (f, -0.9)):
+        u = solve_sl_dirichlet_robin(g, q, forcing, slope)
+        assert u[0] == 0.0
+        assert _row_backward_error(g, q, forcing, u, cathode_slope=slope) <= 1e-15
+    for forcing, value in ((f, 0.0), (0.0, 1.0)):
+        u = solve_sl_dirichlet(g, q, forcing, value)
+        assert u[0] == 0.0 and u[-1] == value
+        assert _row_backward_error(g, q, forcing, u) <= 1e-15
+
+
+def test_banded_solver_reports_singularity():
+    # guard-level check: an exactly singular tridiagonal system must surface
+    # as BandedSolveError carrying a condition estimate, not as garbage output
+    from spark_branch.grid import _solve_tridiagonal
 
     with pytest.raises(BandedSolveError) as exc:
-        _solve_banded_checked(ab, np.array([1.0, 0.0]), 1, 1,
-                              lambda: np.array([[1.0, 1.0], [1.0, 1.0]]))
+        _solve_tridiagonal(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]),
+                           np.array([1.0, 0.0]))
+    assert exc.value.condition > 1e12
+    # overflow without a zero pivot takes the dgtcon estimate instead
+    with pytest.raises(BandedSolveError) as exc:
+        _solve_tridiagonal(np.zeros(2), np.array([1e-300, 1.0, 1.0]), np.zeros(2),
+                           np.array([1e300, 0.0, 0.0]))
     assert exc.value.condition > 1e12
