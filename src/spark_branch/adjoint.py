@@ -23,8 +23,11 @@ with it at the root, and only there.
 
 Discretization note: every row here is assembled at second order (centered
 interior stencils, one-sided boundary stencils).  The steady-state module
-linearizes its upwind transport row instead; the two assemblies coincide in
-all rows except the ion drift derivative.
+linearizes its upwind transport row instead.  The two matrices share the
+electron, potential and cathode-emission rows (rows n-1 onward): same
+pattern, entries equal up to rounding.  The n-1 transport rows differ in
+both terms: the drift derivative (backward difference there, centered
+here) and the S_e weights (pointwise there, trapezoid [1,2,1]/4 here).
 """
 
 from __future__ import annotations

@@ -24,10 +24,11 @@ import numpy as np
 from .adjoint import (adjoint_identity_check, nullspace_residual,
                       nullspace_triple, solve_adjoint_w,
                       transversality_F, transversality_crosscheck)
-from .electron import (NoSignChange, SolverFailure,
+from .continuation import DEFAULT_LIMITS, H_FIRST, H_MAX, H_MIN
+from .electron import (ROOT_TOL_DEFAULT, NoSignChange, SolverFailure,
                        auxiliary_U_cathode_slope, auxiliary_U_solve_gap,
                        boundary_functional, critical_gamma, sparking_voltage)
-from .grid import MIN_NODES, BandedSolveError, RadialGrid
+from .grid import DEFAULT_N, MIN_NODES, BandedSolveError, RadialGrid
 from .model import Parameters, g_fn, harmonic_H, in_gamma_region
 from . import continuation, steady
 
@@ -50,17 +51,17 @@ class RunConfig:
     gamma: float = 1.0
     k_e: float = 1.0
     k_i: float = 1.0
-    grid_n: int = 257
-    root_tol: float = 1e-10
-    newton_tol: float = 1e-10
-    max_steps: int = 5000
-    sup_density_cap: float = 1e3
-    lambda_cap: float = 1e3
-    field_floor: float = 1e-6
-    loop_eps: float = 1e-6
-    h_first: float = 1e-3
-    h_min: float = 1e-6
-    h_max: float = 0.1
+    grid_n: int = DEFAULT_N
+    root_tol: float = ROOT_TOL_DEFAULT
+    newton_tol: float = steady.NEWTON_TOL
+    max_steps: int = DEFAULT_LIMITS["max_steps"]
+    sup_density_cap: float = DEFAULT_LIMITS["sup_density_cap"]
+    lambda_cap: float = DEFAULT_LIMITS["lambda_cap"]
+    field_floor: float = DEFAULT_LIMITS["field_floor"]
+    loop_eps: float = DEFAULT_LIMITS["loop_eps"]
+    h_first: float = H_FIRST
+    h_min: float = H_MIN
+    h_max: float = H_MAX
     out: str = ""
 
     def __post_init__(self):
@@ -76,11 +77,7 @@ class RunConfig:
         return RadialGrid(self.grid_n)
 
     def limits(self) -> dict:
-        return {"max_steps": self.max_steps,
-                "sup_density_cap": self.sup_density_cap,
-                "lambda_cap": self.lambda_cap,
-                "field_floor": self.field_floor,
-                "loop_eps": self.loop_eps}
+        return {key: getattr(self, key) for key in DEFAULT_LIMITS}
 
 
 _INT_KEYS = {"grid_n", "max_steps"}
@@ -139,7 +136,7 @@ def cmd_spark(cfg: RunConfig) -> int:
     except NoSignChange as exc:
         print(f"no sparking voltage: {exc}", file=sys.stderr)
         return EXIT_NO_SPARK
-    except (SolverFailure, RuntimeError) as exc:
+    except SolverFailure as exc:
         print(f"sparking solve failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     idx = np.linspace(0, grid.n - 1, 9).astype(int)

@@ -33,7 +33,7 @@ from .model import Parameters, high_voltage_condition
 from .steady import (NEWTON_TOL, AdmissibilityError, BandLU, NewtonError,
                      State, admissibility, densities,
                      dresidual_dlambda, jacobian, newton_solve, pack,
-                     trivial_state, unpack)
+                     pack_weights, trivial_state, unpack)
 
 log = logging.getLogger(__name__)
 
@@ -103,20 +103,14 @@ class HighVoltageReport:
     ok: bool = False
 
 
-def _pack_weights(grid: RadialGrid) -> np.ndarray:
-    """Quadrature weights aligned with the packed unknown layout."""
-    return grid.cached("pack_weights", lambda g: np.concatenate(
-        [g.r2w[1:], g.r2w[1:], g.r2w[1:-1]]))
-
-
 def ext_inner(t1: Tangent, t2: Tangent, grid: RadialGrid) -> float:
-    pw = _pack_weights(grid)
+    pw = pack_weights(grid)
     return float(np.dot(pw * t1.x, t2.x) + t1.dlam * t2.dlam)
 
 
 def state_norm(state: State, grid: RadialGrid) -> float:
     x = pack(state)
-    return float(np.sqrt(np.dot(_pack_weights(grid) * x, x)))
+    return float(np.sqrt(np.dot(pack_weights(grid) * x, x)))
 
 
 def initial_tangent(lambda_dagger: float, triple: NullTriple,
@@ -162,7 +156,7 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
     """
     x0 = pack(current.state)
     lam0 = current.state.lam
-    pw = _pack_weights(grid)
+    pw = pack_weights(grid)
     last_err = None
     while h >= h_min:
         guess = unpack(lam0 + h * tangent.dlam, x0 + h * tangent.x, grid)
@@ -230,7 +224,7 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     e_last = np.zeros(m)
     e_last[-1] = 1.0
     try:
-        lu = BandLU(J, grid, col, _pack_weights(grid) * tangent.x,
+        lu = BandLU(J, grid, col, pack_weights(grid) * tangent.x,
                     tangent.dlam)
         t_raw = lu.solve(e_last)
     except np.linalg.LinAlgError:

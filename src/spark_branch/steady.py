@@ -17,8 +17,9 @@ with rho_i, R_e, V vanishing at the anode and V also at the cathode.  F1
 is differenced upwind (backward; the field points from anode to cathode
 on admissible states), F2 and F3 use centered stencils, and F4 replaces
 the cathode PDE row of R_e.  The Jacobian differentiates these discrete
-formulas exactly, so at the trivial state it reproduces the upwind
-discretization of the linearized operator.  Unknown vector layout:
+formulas exactly, so the Jacobian at the trivial state is the upwind
+discretization of the linearized operator there, and
+trivial_linearization is just that Jacobian.  Unknown vector layout:
 rho_i at nodes 1..n-1, R_e at nodes 1..n-1, V at nodes 1..n-2.
 
 Assembly.  The Jacobian's sparsity pattern depends only on the grid, so
@@ -51,7 +52,7 @@ import scipy.sparse
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .model import Parameters, townsend_h, townsend_h_prime, g_fn
+from .model import Parameters, townsend_h, townsend_h_prime
 from .grid import (RadialGrid, GridFunction, derivative_all_nodes,
                    radial_laplacian_all_nodes, derivative_matrix,
                    laplacian_matrix, boundary_derivative, node_dH, node_H,
@@ -141,6 +142,12 @@ def trivial_state(lam: float, grid: RadialGrid) -> State:
 def pack(state: State) -> np.ndarray:
     """Unknown vector [rho_i(1..n-1), R_e(1..n-1), V(1..n-2)]."""
     return np.concatenate([state.rho_i[1:], state.R_e[1:], state.V[1:-1]])
+
+
+def pack_weights(grid: RadialGrid) -> np.ndarray:
+    """Quadrature weights aligned with the packed unknown layout."""
+    return grid.cached("pack_weights", lambda g: np.concatenate(
+        [g.r2w[1:], g.r2w[1:], g.r2w[1:-1]]))
 
 
 def unpack(lam: float, x: np.ndarray, grid: RadialGrid) -> State:
@@ -470,17 +477,6 @@ class BandLU:
         return x
 
 
-def _eye_rows(n, start, offset):
-    """Rows start..n-1 of the identity shifted by offset columns:
-    entry (j - start, j + offset) = 1."""
-    j = np.arange(start, n)
-    cols = j + offset
-    keep = (cols >= 0) & (cols < n)
-    return scipy.sparse.csr_matrix(
-        (np.ones(keep.sum()), (j[keep] - start, cols[keep])),
-        shape=(n - start, n))
-
-
 def dresidual_dlambda(state: State, p: Parameters, grid: RadialGrid) -> np.ndarray:
     """Partial derivative of the residual vector in lambda, state held
     fixed; used by the extended (arclength) corrector."""
@@ -512,44 +508,8 @@ def dresidual_dlambda(state: State, p: Parameters, grid: RadialGrid) -> np.ndarr
 
 
 def trivial_linearization(lam: float, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """Direct assembly of the linearized operator at the trivial state with
-    this module's stencils (upwind ion row); the Jacobian at the trivial
-    state must agree with it entry for entry."""
-    n = grid.n
-    r = grid.r
-    d = grid.delta
-    dH = node_dH(grid)
-    H = node_H(grid)
-    emh = np.exp(-0.5 * lam * H)
-    h = townsend_h(lam * dH, p)
-    g = g_fn(lam * dH, p)
-    D = derivative_matrix(grid)
-    L = laplacian_matrix(grid)
-    rows_int = slice(1, n - 1)
-
-    # L1: 2 k_i lambda / r^2 backward difference - k_e h emh S_e
-    coef = 2.0 * p.k_i * lam / (r[1:] ** 2 * d)
-    L1i = (scipy.sparse.diags(coef) @ (_eye_rows(n, 1, 0) - _eye_rows(n, 1, -1)))[:, 1:]
-    L1e = scipy.sparse.diags(-p.k_e * h[1:] * emh[1:], offsets=1,
-                             shape=(n - 1, n), format="csr")[:, 1:]
-    L1v = scipy.sparse.csr_matrix((n - 1, n - 2))
-
-    L2e = (-L - scipy.sparse.diags(g, format="csr"))[rows_int, 1:]
-    L2v = scipy.sparse.csr_matrix((n - 2, n - 2))
-
-    L3i = (-scipy.sparse.identity(n, format="csr"))[rows_int, 1:]
-    L3e = scipy.sparse.diags(emh, format="csr")[rows_int, 1:]
-    L3v = L[rows_int, 1:n - 1]
-
-    row4 = np.zeros(3 * n - 4)
-    row4[n - 2] = -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * 0.5 * lam
-    row4[2 * n - 3 - 2:2 * n - 3 + 1] += np.array([1.0, -4.0, 3.0]) / (2 * d)
-    row4[2 * n - 3] += 0.25 * lam
-    top = scipy.sparse.bmat([[L1i, L1e, L1v],
-                             [None, L2e, L2v],
-                             [L3i, L3e, L3v]], format="csr")
-    return scipy.sparse.vstack(
-        [top, scipy.sparse.csr_matrix(row4[None, :])], format="csr")
+    """Linearized operator at the trivial state: the Jacobian there."""
+    return jacobian(trivial_state(lam, grid), p, grid)
 
 
 def admissibility(state: State, grid: RadialGrid,

@@ -1,7 +1,8 @@
 """Independent cross-checks: adaptive shooting, difference-quotient
 Jacobians, and convergence-order fits.
 
-Everything here deliberately avoids the banded collocation path used by
+Apart from discrete_bifurcation_pair, which works on the production
+Jacobian itself, everything here avoids the banded collocation path of
 the production solvers, so the two routes can disagree: the shooting
 oracle integrates initial-value problems with an embedded adaptive
 Runge-Kutta pair (DOP853) and superposes homogeneous/particular parts,
@@ -157,14 +158,16 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
     gap pollutes the remainder at O(delta * s).
 
     Newton on the extended system {L(lam) phi = 0, <c, phi> = 1} with c
-    the weighted guess direction; the lambda derivative of L is taken by
-    central differences, which only affects the iteration path, not the
-    root.  Returns (lam_star, phi) with phi normalized to unit weighted
-    norm.
+    the weighted guess direction and L(lam) the steady Jacobian at the
+    trivial state (steady.trivial_linearization), so the pair is a
+    singular point of the very matrix the branch corrector factors.  The
+    lambda derivative of L is taken by central differences, which only
+    affects the iteration path, not the root.  Returns (lam_star, phi)
+    with phi normalized to unit weighted norm.
     """
-    from .steady import BandLU, trivial_linearization
+    from .steady import BandLU, pack_weights, trivial_linearization
 
-    pw = np.concatenate([grid.r2w[1:], grid.r2w[1:], grid.r2w[1:-1]])
+    pw = pack_weights(grid)
     c = pw * direction_guess
     c /= np.dot(c, direction_guess)
     phi = direction_guess.copy()

@@ -131,11 +131,13 @@ def transversality_F(lam, a, b, gamma):
 # ---------------------------------------------------------------------------
 # Jacobian by composition of sparse stencil matrices
 # ---------------------------------------------------------------------------
-# Unlike the continuum references above, this one uses the package's own
-# discrete stencils.  It composes the steady Jacobian from diags, bmat and
-# sparse products, one block at a time, the way the formulas read; the
-# package fills a fixed pattern instead, and the tests require the two to
-# agree in indptr, indices and data exactly.
+# Unlike the continuum references above, these use the package's own
+# discrete stencils.  They compose the steady Jacobian, and its value at
+# the trivial state, from diags, bmat and sparse products, one block at a
+# time, the way the formulas read; the package fills a fixed pattern
+# instead.  The tests require the general Jacobian to agree in indptr,
+# indices and data exactly, and the trivial-state one in pattern and to
+# within rounding in the entries.
 
 def _eye_rows(n, start, offset):
     """Rows start..n-1 of the identity shifted by offset columns."""
@@ -220,6 +222,52 @@ def jacobian_reference(state, p, grid):
                              [None, J2e, J2v],
                              [J3i, J3e, J3v]], format="csr")
     return scipy.sparse.vstack([top, row4], format="csr")
+
+
+def trivial_linearization_reference(lam, p, grid):
+    """Linearized operator at the trivial state composed from
+    scipy.sparse stencil matrices with the steady module's upwind ion
+    row; the package takes the Jacobian at the trivial state instead."""
+    import scipy.sparse
+    from spark_branch.grid import (derivative_matrix, laplacian_matrix,
+                                   node_dH, node_H)
+    from spark_branch.model import g_fn, townsend_h
+
+    n = grid.n
+    r = grid.r
+    d = grid.delta
+    dH = node_dH(grid)
+    H = node_H(grid)
+    emh = np.exp(-0.5 * lam * H)
+    h = townsend_h(lam * dH, p)
+    g = g_fn(lam * dH, p)
+    L = laplacian_matrix(grid)
+    rows_int = slice(1, n - 1)
+
+    # L1: 2 k_i lambda / r^2 backward difference - k_e h emh S_e
+    coef = 2.0 * p.k_i * lam / (r[1:] ** 2 * d)
+    L1i = (scipy.sparse.diags(coef)
+           @ (_eye_rows(n, 1, 0) - _eye_rows(n, 1, -1)))[:, 1:]
+    L1e = scipy.sparse.diags(-p.k_e * h[1:] * emh[1:], offsets=1,
+                             shape=(n - 1, n), format="csr")[:, 1:]
+    L1v = scipy.sparse.csr_matrix((n - 1, n - 2))
+
+    L2e = (-L - scipy.sparse.diags(g, format="csr"))[rows_int, 1:]
+    L2v = scipy.sparse.csr_matrix((n - 2, n - 2))
+
+    L3i = (-scipy.sparse.identity(n, format="csr"))[rows_int, 1:]
+    L3e = scipy.sparse.diags(emh, format="csr")[rows_int, 1:]
+    L3v = L[rows_int, 1:n - 1]
+
+    row4 = np.zeros(3 * n - 4)
+    row4[n - 2] = -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * 0.5 * lam
+    row4[2 * n - 3 - 2:2 * n - 3 + 1] += np.array([1.0, -4.0, 3.0]) / (2 * d)
+    row4[2 * n - 3] += 0.25 * lam
+    top = scipy.sparse.bmat([[L1i, L1e, L1v],
+                             [None, L2e, L2v],
+                             [L3i, L3e, L3v]], format="csr")
+    return scipy.sparse.vstack(
+        [top, scipy.sparse.csr_matrix(row4[None, :])], format="csr")
 
 
 # ---------------------------------------------------------------------------

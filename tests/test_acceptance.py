@@ -23,10 +23,11 @@ from spark_branch.adjoint import (nullspace_residual, svd_probe,
                                   adjoint_identity_check)
 from spark_branch.steady import (State, trivial_state, pack, unpack,
                                  residual_vector, norm_Y, jacobian,
-                                 admissibility, ion_consistency)
+                                 admissibility, ion_consistency,
+                                 pack_weights)
 from spark_branch.validation import (fd_jacobian, richardson,
                                      discrete_bifurcation_pair)
-from spark_branch.continuation import trace_branch, _pack_weights
+from spark_branch.continuation import trace_branch
 from spark_branch.cli import branch_csv
 
 TERMINATION_KINDS = {"DensityBlowup", "VoltageBlowup", "HalfLoop",
@@ -241,7 +242,7 @@ def test_criterion_10_local_bifurcation_expansion(cache):
     guess = pack(State(lam, tri.phi_i, tri.phi_e, tri.phi_v))
     lam_star, phi = discrete_bifurcation_pair(lam, guess, p, g)
     br = trace_branch(p, g, limits={"max_steps": 10})
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
     ss, rems = [], []
     for pt in br.points[1:]:
         dx = pack(pt.state) - pt.s * phi

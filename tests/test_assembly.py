@@ -11,10 +11,11 @@ import pytest
 import scipy.sparse
 
 from oracles import bordered_matrix, jacobian_reference
-from spark_branch.continuation import _pack_weights, initial_tangent
+from spark_branch.continuation import initial_tangent
 from spark_branch.grid import RadialGrid
 from spark_branch.steady import (admissibility, dresidual_dlambda,
-                                 jacobian, pack, trivial_state, unpack)
+                                 jacobian, pack, pack_weights, trivial_state,
+                                 unpack)
 
 from conftest import PARAMS
 
@@ -80,7 +81,7 @@ def test_jacobian_pattern_lives_in_the_grid_cache():
 
 def test_bordered_exact_along_short_trace(short_branch):
     g = short_branch.grid
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
     for prev, point in zip(short_branch.points[1:], short_branch.points[2:]):
         J = jacobian(point.state, P1, g)
         col = dresidual_dlambda(point.state, P1, g)
@@ -99,7 +100,7 @@ def test_bordered_exact_at_departure(cache):
     t = initial_tangent(lam_dagger, cache.triple("(2,3,1)", 65), g)
     J = jacobian(st, P1, g)
     col = dresidual_dlambda(st, P1, g)
-    row = _pack_weights(g) * t.x
+    row = pack_weights(g) * t.x
     assert not col.any() and t.dlam == 0.0
     A = bordered_matrix(J, col, row, t.dlam)
     _assert_identical(A, _bmat(J, col, row, t.dlam))

@@ -13,11 +13,11 @@ import pytest
 
 from oracles import SuperLUBordered, bordered_matrix
 from spark_branch import continuation, steady
-from spark_branch.continuation import (_pack_weights, initial_tangent,
-                                       tangent_and_sigma, trace_branch)
+from spark_branch.continuation import (initial_tangent, tangent_and_sigma,
+                                       trace_branch)
 from spark_branch.steady import (BandLU, SingularJacobian, _band_layout,
                                  dresidual_dlambda, jacobian, newton_solve,
-                                 pack, trivial_state, unpack)
+                                 pack, pack_weights, trivial_state, unpack)
 from spark_branch.validation import discrete_bifurcation_pair
 
 from conftest import PARAMS
@@ -67,7 +67,7 @@ def test_bordered_solve_at_departure(cache, n, h):
     g, st, t = _departure(cache, n, h)
     _check_against_superlu(jacobian(st, P1, g), g,
                            dresidual_dlambda(st, P1, g),
-                           _pack_weights(g) * t.x, t.dlam)
+                           pack_weights(g) * t.x, t.dlam)
 
 
 def test_bordered_solve_at_singular_jacobian(cache):
@@ -83,12 +83,12 @@ def test_bordered_solve_at_singular_jacobian(cache):
     col = (jacobian(trivial_state(lam_star + eps, g), P1, g) @ phi
            - jacobian(trivial_state(lam_star - eps, g), P1, g) @ phi) / (2 * eps)
     assert np.abs(J @ phi).max() <= 1e-7 * abs(J).max()
-    _check_against_superlu(J, g, col, _pack_weights(g) * phi, 0.0)
+    _check_against_superlu(J, g, col, pack_weights(g) * phi, 0.0)
 
 
 def test_bordered_and_plain_solves_along_short_trace(short_branch):
     g = short_branch.grid
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
     pts = short_branch.points
     for k, (prev, point) in enumerate(zip(pts[1:], pts[2:])):
         st = point.state
@@ -113,10 +113,10 @@ def test_singular_border_raises_everywhere(cache):
     col = dresidual_dlambda(st, P1, g)
     assert not col.any() and t.dlam == 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        BandLU(jacobian(st, P1, g), g, col, _pack_weights(g) * t.x, 0.0)
+        BandLU(jacobian(st, P1, g), g, col, pack_weights(g) * t.x, 0.0)
     assert tangent_and_sigma(st, t, P1, g) == (None, 0.0)
 
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
 
     def constraint(s):
         return np.dot(pw * t.x, pack(s)) - 1e-3, pw * t.x, 0.0

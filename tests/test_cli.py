@@ -1,12 +1,18 @@
 """Command-line interface: config handling, subcommands, exit codes."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from spark_branch import cli
-from spark_branch.grid import MIN_NODES
+from spark_branch.continuation import (DEFAULT_LIMITS, H_FIRST, H_MAX, H_MIN,
+                                       trace_branch)
+from spark_branch.electron import (ROOT_TOL_DEFAULT, SolverFailure,
+                                   sparking_voltage)
+from spark_branch.grid import DEFAULT_N, MIN_NODES
+from spark_branch.steady import NEWTON_TOL
 from spark_branch.cli import (RunConfig, UsageError, load_config, branch_csv,
                               BRANCH_HEADER, EXIT_OK, EXIT_FAILURE,
                               EXIT_NO_SPARK, EXIT_USAGE)
@@ -31,6 +37,23 @@ def test_load_config_round_trip(tmp_path):
     p = cfg.parameters()
     assert (p.a, p.b, p.gamma) == (3.0, 5.0, 1.0)
     assert cfg.grid().n == 65
+
+
+def test_run_config_defaults_are_package_defaults():
+    cfg = RunConfig()
+    assert cfg.grid_n == DEFAULT_N
+    assert cfg.root_tol == ROOT_TOL_DEFAULT
+    assert cfg.newton_tol == NEWTON_TOL
+    assert cfg.limits() == DEFAULT_LIMITS
+    assert list(cfg.limits()) == list(DEFAULT_LIMITS)
+    assert (cfg.h_first, cfg.h_min, cfg.h_max) == (H_FIRST, H_MIN, H_MAX)
+    # the solvers' own keyword defaults are the same constants
+    trace = inspect.signature(trace_branch).parameters
+    for key in ("h_first", "h_min", "h_max"):
+        assert trace[key].default == getattr(cfg, key)
+    assert trace["tol"].default == cfg.newton_tol
+    assert inspect.signature(sparking_voltage).parameters["tol"].default \
+        == cfg.root_tol
 
 
 @pytest.mark.parametrize("payload,fragment", [
@@ -116,6 +139,33 @@ def test_spark_without_sign_change_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, gamma=1e-6, grid_n=65)
     assert cli.main(["spark", "--config", path]) == EXIT_NO_SPARK
     assert "no sparking voltage" in capsys.readouterr().err
+
+
+def test_spark_solver_failure_exits_1_without_output(tmp_path, monkeypatch,
+                                                    capsys):
+    def failing(*args, **kwargs):
+        raise SolverFailure("root refinement stalled")
+
+    monkeypatch.setattr(cli, "sparking_voltage", failing)
+    out = tmp_path / "spark.json"
+    assert cli.main(["spark", "--grid-n", "65", "--out", str(out)]) \
+        == EXIT_FAILURE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sparking solve failed" in captured.err
+
+
+def test_spark_bug_propagates_instead_of_exit_1(tmp_path, monkeypatch):
+    # only typed solver failures become exit 1; anything else raises
+    def broken(*args, **kwargs):
+        raise NotImplementedError("not a solver failure")
+
+    monkeypatch.setattr(cli, "sparking_voltage", broken)
+    out = tmp_path / "spark.json"
+    with pytest.raises(NotImplementedError, match="not a solver failure"):
+        cli.main(["spark", "--grid-n", "65", "--out", str(out)])
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- branch

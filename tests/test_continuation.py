@@ -12,8 +12,8 @@ from spark_branch.continuation import (DEFAULT_LIMITS, Branch, BranchPoint,
                                        initial_tangent, arclength_step,
                                        tangent_and_sigma, trace_branch,
                                        state_norm, high_voltage_diagnostic,
-                                       _pack_weights, _diagnostics, _classify)
-from spark_branch.steady import State, pack, trivial_state
+                                       _diagnostics, _classify)
+from spark_branch.steady import State, pack, pack_weights, trivial_state
 
 P1 = PARAMS["(2,3,1)"]
 
@@ -36,7 +36,7 @@ def test_initial_tangent_is_normalized_profile_direction(cache):
     # on the trivial family the residual is identically zero in lambda, so
     # the tangent cannot have a voltage component
     assert t.dlam == 0.0
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
     assert np.dot(pw * t.x, t.x) == pytest.approx(1.0, abs=1e-12)
     # orientation: nonnegative electron part
     n = g.n
@@ -60,7 +60,7 @@ def test_first_step_length_and_voltage(cache):
 def test_parametrization_gap_halves_with_h(cache):
     g, lam, pt0 = _start_point(cache, 129)
     t0 = initial_tangent(lam, cache.triple("(2,3,1)", 129), g)
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
 
     def dist(a, b):
         dx = pack(a) - pack(b)
@@ -80,7 +80,7 @@ def test_parametrization_gap_halves_with_h(cache):
 def test_tangent_continuity_along_first_steps(cache):
     g, lam, pt0 = _start_point(cache, 129)
     t = initial_tangent(lam, cache.triple("(2,3,1)", 129), g)
-    pw = _pack_weights(g)
+    pw = pack_weights(g)
     pt = pt0
     for _ in range(3):
         pt, _, t_new = arclength_step(pt, t, 1e-3, P1, g)

@@ -1,6 +1,7 @@
 """Sparse second-order linearization at the trivial state: exact agreement
-with the node-by-node dense assembly, and the residual of the null triple
-without a dense matrix."""
+with the node-by-node dense assembly, the rows it shares with the steady
+Jacobian there, and the residual of the null triple without a dense
+matrix."""
 
 import tracemalloc
 
@@ -11,6 +12,7 @@ from conftest import PARAMS
 from oracles import linearized_matrix_reference
 from spark_branch.adjoint import (linearized_matrix, nullspace_residual,
                                   pack_triple)
+from spark_branch.steady import jacobian, trivial_state
 
 
 @pytest.mark.parametrize("n", [33, 65, 257])
@@ -26,6 +28,27 @@ def test_sparse_matrix_equals_dense_oracle(key, n, cache):
         assert A.shape == ref.shape == (3 * n - 4, 3 * n - 4)
         assert A.nnz == np.count_nonzero(ref) == 13 * n - 21
         assert np.array_equal(A.toarray(), ref)
+
+
+@pytest.mark.parametrize("n", [33, 65, 257, 1025])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_shares_non_transport_rows_with_steady_jacobian(key, n, cache):
+    """Rows n-1 onward (electron, potential, cathode emission) of this
+    matrix and of the steady Jacobian at the trivial state have the same
+    pattern and entries equal up to one rounding of the largest entry;
+    only the n-1 transport rows differ."""
+    g = cache.grid(n)
+    p = PARAMS[key]
+    eps = np.finfo(float).eps
+    for lam in (cache.spark(key, n).lambda_dagger, 1.0, 20.0):
+        J = jacobian(trivial_state(lam, g), p, g)
+        A = linearized_matrix(lam, p, g)
+        Js, As = J[n - 1:], A[n - 1:]
+        np.testing.assert_array_equal(Js.indptr, As.indptr)
+        np.testing.assert_array_equal(Js.indices, As.indices)
+        assert np.abs(Js.data - As.data).max() <= eps * np.abs(J.data).max()
+        # the transport rows are two different discretizations
+        assert (J[:n - 1] != A[:n - 1]).nnz > 0
 
 
 @pytest.mark.parametrize("n", [257, 1025])

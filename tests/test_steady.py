@@ -5,13 +5,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import PARAMS
+from oracles import trivial_linearization_reference
 from spark_branch.model import Parameters, townsend_h, harmonic_H, harmonic_dH
-from spark_branch.grid import RadialGrid
+from spark_branch.grid import RadialGrid, weighted_inner
 from spark_branch.electron import solve_electron
 from spark_branch.adjoint import nullspace_triple
-from spark_branch.steady import (State, trivial_state, pack, unpack, field,
-                                 residual, residual_vector, norm_Y, jacobian,
-                                 dresidual_dlambda, trivial_linearization,
+from spark_branch.steady import (State, trivial_state, pack, pack_weights,
+                                 unpack, field, residual, residual_vector,
+                                 norm_Y, jacobian, dresidual_dlambda,
                                  admissibility, ion_consistency, densities,
                                  cathode_flux_gap, newton_solve,
                                  AdmissibilityError, NewtonError,
@@ -45,6 +46,18 @@ def test_pack_unpack_round_trip():
     assert np.array_equal(back.V, st.V)
     with pytest.raises(ValueError):
         unpack(2.5, np.zeros(3 * g.n), g)
+
+
+def test_pack_weights_align_with_pack():
+    g = RadialGrid(65)
+    st = _smooth_state(g, 2.5, np.random.default_rng(0))
+    pw = pack_weights(g)
+    assert pw is pack_weights(g)
+    np.testing.assert_array_equal(pw, pack(State(st.lam, g.r2w, g.r2w,
+                                                 g.r2w)))
+    blocks = sum(weighted_inner(u, u, g) for u in (st.rho_i, st.R_e, st.V))
+    x = pack(st)
+    assert np.dot(pw * x, x) == pytest.approx(blocks, rel=1e-14)
 
 
 def test_trivial_family_residual_is_exactly_zero():
@@ -107,11 +120,21 @@ def test_manufactured_truncation_orders():
 
 
 def test_jacobian_at_trivial_equals_trivial_linearization(cache):
-    g = cache.grid(129)
-    lam = cache.spark("(2,3,1)", 129).lambda_dagger
-    gap = abs(jacobian(trivial_state(lam, g), P1, g)
-              - trivial_linearization(lam, P1, g)).max()
-    assert gap <= 1e-10
+    """The Jacobian at the trivial state against the linearized operator
+    composed block by block from scipy.sparse stencil matrices: same
+    pattern, entries equal up to one rounding of the largest entry."""
+    eps = np.finfo(float).eps
+    for n in (33, 129, 257, 1025):
+        g = cache.grid(n)
+        for key, p in PARAMS.items():
+            for lam in (1.0, cache.spark(key, n).lambda_dagger, 20.0):
+                J = jacobian(trivial_state(lam, g), p, g)
+                ref = trivial_linearization_reference(lam, p, g)
+                assert J.shape == ref.shape
+                np.testing.assert_array_equal(J.indptr, ref.indptr)
+                np.testing.assert_array_equal(J.indices, ref.indices)
+                scale = np.abs(J.data).max()
+                assert np.abs(J.data - ref.data).max() <= eps * scale
 
 
 def test_jacobian_matches_finite_differences():
