@@ -7,9 +7,10 @@ densities, nondegenerate field).  The trace runs until one of the
 termination conditions in DEFAULT_LIMITS fires; with the defaults on
 this parameter set the branch simply outruns float64 and the corrector
 gives up at the residual floor, which the Termination record says
-plainly.
+plainly.  Every point carries the fold and branch-point test functions
+t_lambda and det_sign; their sign changes would be listed as events.
 
-Takes ~15 s on a laptop (n=129, several hundred arclength steps).
+Takes a few seconds (n=129, several hundred arclength steps).
 
 Run:  python3 demos/04_branch_trace.py
 """
@@ -31,7 +32,9 @@ def main():
     print(f"bifurcates from lambda_dagger = {branch.lambda_dagger:.9f}")
     print()
 
-    hdr = f"{'s':>10s} {'lambda':>12s} {'sup rho_i':>11s} {'sup rho_e':>11s} {'min field':>11s} {'sigma_min':>10s} {'its':>4s}"
+    # t_lambda changes sign at a fold in lambda, det_sign (the sign of
+    # det of the bordered Jacobian) at a branch point
+    hdr = f"{'s':>10s} {'lambda':>12s} {'sup rho_i':>11s} {'sup rho_e':>11s} {'min field':>11s} {'t_lambda':>10s} {'det':>4s} {'its':>4s}"
     print(hdr)
     stride = max(1, len(branch.points) // 14)
     shown = list(range(0, len(branch.points), stride))
@@ -40,17 +43,21 @@ def main():
     for i in shown:
         pt = branch.points[i]
         d = pt.diagnostics
-        # the seed point carries no sigma_min: nothing was factorized there
-        sig = f"{d['sigma_min']:10.3e}" if "sigma_min" in d else f"{'-':>10s}"
+        # the seed point has t_lambda = 0 and det_sign = 0: nothing was
+        # factorized there
         print(f"{pt.s:10.4f} {pt.state.lam:12.6f} {d['sup_rho_i']:11.4e} "
               f"{d['sup_rho_e']:11.4e} {d['min_field']:11.4e} "
-              f"{sig} {d['newton_iters']:4d}")
+              f"{d['t_lambda']:10.3e} {d['det_sign']:4d} {d['newton_iters']:4d}")
     print()
 
     term = branch.termination
     print(f"termination: {term.kind}")
     for key, val in term.evidence.items():
         print(f"  {key} = {val}")
+    print(f"fold / branch-point events: {len(branch.events)}")
+    for ev in branch.events:
+        print(f"  {ev['kind']} at s={ev['s']:.6f}, lambda={ev['lambda']:.9f} "
+              f"(point {ev['index']})")
     if branch.warnings:
         print("warnings:")
         for w in branch.warnings:

@@ -174,6 +174,9 @@ def branch_csv(branch: continuation.Branch) -> str:
             str(int(d["newton_iters"])),
             repr(float(d["residual_norm"])),
         ]))
+    for event in branch.events:
+        lines.append(f"# event={event['kind']} s={float(event['s'])!r} "
+                     f"lambda={float(event['lambda'])!r}")
     lines.append(f"# termination={branch.termination.kind}")
     return "\n".join(lines) + "\n"
 

@@ -13,6 +13,16 @@ Euler; the corrector is the extended Newton solve from the steady
 module.  Step size halves on corrector failure and grows by 1.3 after
 two consecutive easy successes.
 
+Every accepted point records two test functions, read off the band LU
+that yields its tangent (Allgower & Georg 2003, ch. 8; Seydel 2010,
+ch. 5): t_lambda, the tangent's lambda component, changes sign at a
+fold in lambda, and det_sign, the sign of det of the bordered Jacobian,
+flips at a simple branch point.  Sign changes between consecutive
+points become Fold and BranchPoint events on Branch.events.  The
+smallest singular value sigma_min of the bordered Jacobian costs 16
+more band solves per point and is computed only on request
+(sigma_check).
+
 A trace terminates by classification, never by exception: density or
 voltage beyond the configured caps, a return to the trivial family at
 higher voltage (half loop), field degeneracy, loss of interior
@@ -53,6 +63,7 @@ GROW_FACTOR = 1.3
 EASY_ITERS = 4          # corrector iteration count below which a step is "easy"
 SIGMA_WARN = 1.0e-4     # bordered smallest singular value below this hints
                         # at a nearby secondary bifurcation
+SIGMA_ITERS = 8         # inverse-power steps per point under sigma_check
 
 
 class StepFailure(RuntimeError):
@@ -66,10 +77,14 @@ class StepFailure(RuntimeError):
 
 @dataclass
 class Tangent:
-    """Unit tangent in the extended (state, lambda) space."""
+    """Unit tangent in the extended (state, lambda) space.
+
+    det_sign is the sign of det of the bordered matrix the tangent was
+    solved from, 0 when it was not solved for (departure, secant)."""
 
     x: np.ndarray
     dlam: float
+    det_sign: int = 0
 
 
 @dataclass
@@ -92,6 +107,7 @@ class Branch:
     lambda_dagger: float
     grid: RadialGrid
     warnings: list = field(default_factory=list)
+    events: list = field(default_factory=list)
 
 
 @dataclass
@@ -148,11 +164,13 @@ def _diagnostics(state: State, grid: RadialGrid, iters: int,
 
 def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
                    p: Parameters, grid: RadialGrid, h_min: float = H_MIN,
-                   tol: float = NEWTON_TOL):
+                   tol: float = NEWTON_TOL, sigma_check: bool = False):
     """One predictor-corrector step, halving h internally on failure.
 
-    Returns (point, h_used, secant_tangent).  Raises StepFailure once
-    h drops below h_min without a convergent corrector.
+    Returns (point, h_used, new_tangent); the point's diagnostics carry
+    the test functions t_lambda and det_sign, and sigma_min when
+    sigma_check.  Raises StepFailure once h drops below h_min without a
+    convergent corrector.
     """
     x0 = pack(current.state)
     lam0 = current.state.lam
@@ -173,7 +191,8 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
             last_err = exc
             h *= 0.5
             continue
-        t_new, sigma = tangent_and_sigma(res.state, tangent, p, grid)
+        t_new, sigma = tangent_and_sigma(res.state, tangent, p, grid,
+                                         SIGMA_ITERS if sigma_check else 0)
         if t_new is None:
             # Bordered factorization failed; a secant direction still
             # lets the trace limp forward.
@@ -190,17 +209,21 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
         point = BranchPoint(current.s + h, res.state,
                             _diagnostics(res.state, grid, res.iters,
                                          res.residual_norm))
-        point.diagnostics["sigma_min"] = sigma
+        point.diagnostics["t_lambda"] = t_new.dlam
+        point.diagnostics["det_sign"] = t_new.det_sign
+        if sigma_check:
+            point.diagnostics["sigma_min"] = sigma
         return point, h, t_new
     raise StepFailure(f"corrector failed down to h={h:.3e}: {last_err}",
                       current.s, h)
 
 
 def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
-                      grid: RadialGrid, iters: int = 8):
+                      grid: RadialGrid, iters: int = SIGMA_ITERS):
     """New unit tangent and smallest singular value of the bordered
     Jacobian [[J, F_lambda], [t_x^T W, t_lambda]] at an accepted point,
-    from a single band LU of J (steady.BandLU).
+    from a single band LU of J (steady.BandLU).  The tangent carries the
+    sign of det of that bordered matrix, read off the same LU.
 
     The tangent solves the bordered system with right-hand side
     (0, ..., 0, 1) by block elimination plus one refinement step: the
@@ -212,11 +235,12 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     and the discrete bifurcation point; that offset sits mostly in the
     lambda component and would poison a secant.
 
-    sigma comes from inverse power iteration on the same LU, one
-    transposed and one plain bordered solve per step, unrefined, with a
-    deterministic start vector, so traces stay bit-reproducible.
-    Returns (None, 0.0) when the factorization or the tangent solve
-    fails, and sigma = 0.0 when a power step does.
+    sigma comes from iters steps of inverse power iteration on the same
+    LU, one transposed and one plain bordered solve per step, unrefined,
+    with a deterministic start vector, so traces stay bit-reproducible.
+    With iters = 0 no power step runs and sigma is None.  Returns
+    (None, 0.0) when the factorization or the tangent solve fails, and
+    sigma = 0.0 when a power step does.
     """
     J = jacobian(state, p, grid)
     col = dresidual_dlambda(state, p, grid)
@@ -233,7 +257,9 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     nrm = np.sqrt(ext_inner(t_new, t_new, grid))
     if nrm == 0.0:
         return None, 0.0
-    t_new = Tangent(t_new.x / nrm, t_new.dlam / nrm)
+    t_new = Tangent(t_new.x / nrm, t_new.dlam / nrm, lu.det_sign)
+    if iters == 0:
+        return t_new, None
 
     rng = np.random.default_rng(7)
     v = rng.standard_normal(m)
@@ -249,6 +275,34 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
             return t_new, 0.0
         v = z / growth
     return t_new, 1.0 / np.sqrt(growth)
+
+
+def crossing_events(prev: BranchPoint, point: BranchPoint,
+                    index: int) -> list:
+    """Fold and branch-point events between two consecutive accepted
+    points, the second at position index of the branch.
+
+    A strict sign change of t_lambda is a Fold, placed at the secant
+    zero of t_lambda in s; an exact zero (the departure point) is not a
+    sign.  A flip of det_sign is a BranchPoint, placed midway, since
+    the sign carries no magnitude; det_sign 0 (no bordered
+    factorization) flips nothing.
+    """
+    a, b = prev.diagnostics, point.diagnostics
+    events = []
+    ta, tb = a["t_lambda"], b["t_lambda"]
+    if ta * tb < 0.0:
+        w = ta / (ta - tb)
+        events.append({
+            "kind": "Fold", "s": prev.s + w * (point.s - prev.s),
+            "lambda": prev.state.lam + w * (point.state.lam - prev.state.lam),
+            "index": index})
+    if a["det_sign"] * b["det_sign"] < 0:
+        events.append({
+            "kind": "BranchPoint", "s": 0.5 * (prev.s + point.s),
+            "lambda": 0.5 * (prev.state.lam + point.state.lam),
+            "index": index})
+    return events
 
 
 def _classify(point: BranchPoint, lam_dagger: float, lim: dict,
@@ -293,13 +347,19 @@ def _classify(point: BranchPoint, lam_dagger: float, lim: dict,
 def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
                  h_first: float = H_FIRST, h_min: float = H_MIN,
                  h_max: float = H_MAX, tol: float = NEWTON_TOL,
-                 sigma_check: bool = True) -> Branch:
+                 sigma_check: bool = False) -> Branch:
     """Trace the nontrivial branch from the sparking point until a
     termination condition fires.
 
     limits overrides entries of DEFAULT_LIMITS; unknown keys are
     rejected.  The s=0 entry is the trivial state at the sparking
     voltage and is exempt from the positivity classification.
+
+    Every point records the test functions t_lambda and det_sign, and
+    their sign changes are kept on Branch.events (crossing_events); a
+    BranchPoint is also a warning.  sigma_check adds the bordered
+    sigma_min to every point, from 8 inverse-power steps (16 more band
+    solves per point), and warns below SIGMA_WARN.
     """
     lim = dict(DEFAULT_LIMITS)
     if limits:
@@ -316,19 +376,32 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
 
     start = trivial_state(lam_dagger, grid)
     points = [BranchPoint(0.0, start, _diagnostics(start, grid, 0, 0.0))]
+    points[0].diagnostics.update(t_lambda=tangent.dlam, det_sign=0)
     warnings = []
+    events = []
     h = h_first
     easy = 0
 
     for _ in range(lim["max_steps"]):
         try:
             point, h_used, tangent = arclength_step(
-                points[-1], tangent, h, p, grid, h_min=h_min, tol=tol)
+                points[-1], tangent, h, p, grid, h_min=h_min, tol=tol,
+                sigma_check=sigma_check)
         except StepFailure as exc:
             termination = Termination("NewtonFailure", {
                 "s": exc.s, "h_last": exc.h_last, "error": str(exc)})
             break
         points.append(point)
+        for event in crossing_events(points[-2], point, len(points) - 1):
+            events.append(event)
+            msg = (f"{event['kind']} at s={event['s']:.6f}, "
+                   f"lambda={event['lambda']:.9f}")
+            if event["kind"] == "BranchPoint":
+                msg += ": possible secondary bifurcation"
+                warnings.append(msg)
+                log.warning(msg)
+            else:
+                log.info(msg)
 
         if h_used < h or point.diagnostics["newton_iters"] > EASY_ITERS:
             easy = 0
@@ -355,7 +428,7 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
             "steps": lim["max_steps"], "s": points[-1].s,
             "lambda": points[-1].state.lam})
 
-    return Branch(points, termination, lam_dagger, grid, warnings)
+    return Branch(points, termination, lam_dagger, grid, warnings, events)
 
 
 def high_voltage_diagnostic(branch: Branch, p: Parameters) -> HighVoltageReport:

@@ -45,9 +45,10 @@ class RadialGrid:
 
     def cached(self, key: str, build):
         """Per-grid memo for derived operators and layouts (stencil
-        matrices, H and H' at the nodes, packed weights, the Jacobian
-        pattern and its band layout): build(self) runs on the first
-        request for key, later requests share its value."""
+        matrices, H and H' at the nodes, packed weights, the
+        Sturm-Liouville off-diagonals, the Jacobian pattern and its band
+        layout): build(self) runs on the first request for key, later
+        requests share its value."""
         try:
             return self._cache[key]
         except KeyError:
@@ -87,20 +88,32 @@ def sturm_liouville_rows(grid: RadialGrid, q: GridFunction):
     """Tridiagonal coefficients of -u'' - (2/r) u' - q(r) u at interior nodes.
 
     Returns (sub, diag, sup), each of length n; row j couples
-    (u[j-1], u[j], u[j+1]) for j = 1..n-2.  The two boundary rows are left
-    zero for the caller to overwrite with its boundary conditions.
+    (u[j-1], u[j], u[j+1]) for j = 1..n-2.  The two boundary rows are
+    zero.  sub and sup do not depend on q: they are built once per grid
+    and shared read-only, so a caller that imposes boundary conditions
+    works on copies.
     """
+    sub, sup = grid.cached("sturm_liouville_offdiagonals",
+                           _sturm_liouville_offdiagonals)
+    q = np.broadcast_to(np.asarray(q, dtype=float), (grid.n,))
+    diag = np.zeros(grid.n)
+    diag[1:-1] = 2.0 / grid.delta**2 - q[1:-1]
+    return sub, diag, sup
+
+
+def _sturm_liouville_offdiagonals(grid: RadialGrid):
+    """The q-independent sub- and superdiagonal of sturm_liouville_rows,
+    read-only because every call shares them."""
     d = grid.delta
     r = grid.r
-    q = np.broadcast_to(np.asarray(q, dtype=float), (grid.n,))
     sub = np.zeros(grid.n)
-    diag = np.zeros(grid.n)
     sup = np.zeros(grid.n)
     j = slice(1, grid.n - 1)
     sub[j] = -1.0 / d**2 + 1.0 / (r[j] * d)
-    diag[j] = 2.0 / d**2 - q[j]
     sup[j] = -1.0 / d**2 - 1.0 / (r[j] * d)
-    return sub, diag, sup
+    sub.flags.writeable = False
+    sup.flags.writeable = False
+    return sub, sup
 
 
 def boundary_derivative(u: GridFunction, grid: RadialGrid, end: str) -> float:

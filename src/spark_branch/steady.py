@@ -366,7 +366,9 @@ class BandLayout:
     ku superdiagonals.  row_pos and col_pos give the position of each
     residual row and unknown; row_at and col_at invert them.  An entry
     (i, j) of J lives at flat index row_key[i] + col_key[j] of the
-    Fortran-ordered LAPACK band array of shape (2 kl + ku + 1, m)."""
+    Fortran-ordered LAPACK band array of shape (2 kl + ku + 1, m).
+    parity is the sign of the reordering, det of the banded matrix over
+    det J."""
     kl: int
     ku: int
     row_pos: np.ndarray
@@ -375,6 +377,20 @@ class BandLayout:
     col_at: np.ndarray
     row_key: np.ndarray
     col_key: np.ndarray
+    parity: int
+
+
+def _permutation_parity(perm: np.ndarray) -> int:
+    """Sign of a permutation, (-1)^(size - number of cycles).  Each
+    index's label converges to the smallest index on its cycle by
+    pointer doubling, so cycle leaders are the fixed points of label."""
+    label = np.arange(perm.size)
+    step = perm
+    for _ in range(max(1, int(perm.size - 1).bit_length())):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    cycles = np.count_nonzero(label == np.arange(perm.size))
+    return -1 if (perm.size - cycles) % 2 else 1
 
 
 def _band_layout(grid: RadialGrid) -> BandLayout:
@@ -389,7 +405,9 @@ def _band_layout(grid: RadialGrid) -> BandLayout:
     ldab = 2 * kl + ku + 1
     return BandLayout(kl=kl, ku=ku, row_pos=row_pos, col_pos=col_pos,
                       row_at=np.argsort(row_pos), col_at=np.argsort(col_pos),
-                      row_key=kl + ku + row_pos, col_key=col_pos * (ldab - 1))
+                      row_key=kl + ku + row_pos, col_key=col_pos * (ldab - 1),
+                      parity=_permutation_parity(row_pos)
+                      * _permutation_parity(col_pos))
 
 
 class BandLU:
@@ -402,8 +420,9 @@ class BandLU:
     border it solves with J alone.  J must lie on the grid's Jacobian
     pattern (a subset of it, as after eliminate_zeros, is fine).
 
-    A zero pivot, a zero or non-finite Schur scalar and a non-finite
-    solution raise numpy.linalg.LinAlgError."""
+    det_sign, the sign of det of the (bordered) matrix, is computed only
+    when read.  A zero pivot, a zero or non-finite Schur scalar and a
+    non-finite solution raise numpy.linalg.LinAlgError."""
 
     def __init__(self, J: scipy.sparse.csr_matrix, grid: RadialGrid,
                  col: np.ndarray = None, row: np.ndarray = None,
@@ -430,6 +449,20 @@ class BandLU:
             self._border = (col, row, corner, schur)
             self._y = y
             self._w = None
+
+    @property
+    def det_sign(self) -> int:
+        """Sign of det of the (bordered) matrix: the signs of U's diagonal
+        (row kl + ku of the band), the parity of dgbtrf's row
+        interchanges (0-based pivots), the parity of the node
+        interleaving and, with a border, the sign of the Schur scalar."""
+        lay = self._lay
+        negative = np.count_nonzero(self._lu[lay.kl + lay.ku] < 0.0)
+        swaps = np.count_nonzero(self._piv != np.arange(self._piv.size))
+        sign = -lay.parity if (negative + swaps) % 2 else lay.parity
+        if self._border is not None and self._border[3] < 0.0:
+            sign = -sign
+        return sign
 
     def _band_solve(self, b, trans):
         lay = self._lay

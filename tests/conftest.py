@@ -116,9 +116,10 @@ def branch257_full(cache):
 
 @pytest.fixture(scope="session")
 def branch129_long(cache):
-    """n=129 trace long enough to cover the n=257 branch's s-range."""
+    """n=129 trace long enough to cover the n=257 branch's s-range,
+    with the opt-in sigma_min on every point."""
     return trace_branch(PARAMS["(2,3,1)"], cache.grid(129),
-                        limits={"max_steps": 400})
+                        limits={"max_steps": 400}, sigma_check=True)
 
 
 # ---------------------------------------------------------------------------

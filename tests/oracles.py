@@ -305,10 +305,30 @@ def bordered_matrix(J, col, row, corner):
     return scipy.sparse.csc_matrix((data, indices, indptr), shape=(m + 1, m + 1))
 
 
+def _parity(perm):
+    """Sign of a permutation, by walking its cycles."""
+    seen = np.zeros(len(perm), dtype=bool)
+    sign = 1
+    for start in range(len(perm)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 class SuperLUBordered:
     """SuperLU factorization of J, or of the bordered matrix when a
     border is given, with the call signature of steady.BandLU.  Raises
-    numpy.linalg.LinAlgError where splu fails, as BandLU does."""
+    numpy.linalg.LinAlgError where splu fails, as BandLU does.
+
+    det_sign comes from Pr A Pc = L U with unit-diagonal L: the signs of
+    U's diagonal times the parities of perm_r and perm_c.  The bordered
+    matrix is factored whole, so the Schur scalar's sign is in U."""
 
     def __init__(self, J, grid, col=None, row=None, corner=0.0):
         import scipy.sparse.linalg
@@ -318,6 +338,12 @@ class SuperLUBordered:
             self._lu = scipy.sparse.linalg.splu(A)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
+
+    @property
+    def det_sign(self):
+        negative = np.count_nonzero(self._lu.U.diagonal() < 0.0)
+        sign = _parity(self._lu.perm_r) * _parity(self._lu.perm_c)
+        return -sign if negative % 2 else sign
 
     def solve(self, b, trans=False, refine=True):
         x = self._lu.solve(b, trans="T" if trans else "N")

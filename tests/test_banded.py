@@ -5,7 +5,9 @@ bordered systems by block elimination.  Its solutions are compared with
 SuperLU on the explicitly bordered matrix (oracles.SuperLUBordered), in
 both orientations, at departure, at the singular trivial state of the
 discrete bifurcation point and along a short trace; a trace run on the
-SuperLU oracle must match the production trace point for point.
+SuperLU oracle must match the production trace point for point.  The
+determinant sign read off the LU is compared with numpy's slogdet, and
+a counting wrapper pins the factorizations and solves per trace point.
 """
 
 import numpy as np
@@ -154,18 +156,125 @@ def test_degenerate_jacobian_maps_to_typed_failures(cache, monkeypatch, damage):
 # ------------------------------------------------------------ trace match
 
 def test_trace_matches_superlu_trace(short_branch, monkeypatch):
+    g = short_branch.grid
+    limits = {"lambda_cap": short_branch.lambda_dagger + 0.05}
+    band = trace_branch(P1, g, limits=limits, sigma_check=True)
     monkeypatch.setattr(steady, "BandLU", SuperLUBordered)
     monkeypatch.setattr(continuation, "BandLU", SuperLUBordered)
-    g = short_branch.grid
-    ref = trace_branch(P1, g, limits={
-        "lambda_cap": short_branch.lambda_dagger + 0.05})
-    assert ref.termination.kind == short_branch.termination.kind
-    assert len(ref.points) == len(short_branch.points)
-    for a, b in zip(ref.points, short_branch.points):
+    ref = trace_branch(P1, g, limits=limits, sigma_check=True)
+    assert ref.termination.kind == band.termination.kind
+    assert len(ref.points) == len(band.points)
+    for a, b in zip(ref.points, band.points):
         assert a.diagnostics["newton_iters"] == b.diagnostics["newton_iters"]
         assert abs(a.state.lam - b.state.lam) <= 1e-10
+        assert a.diagnostics["det_sign"] == b.diagnostics["det_sign"]
+        assert abs(a.diagnostics["t_lambda"] - b.diagnostics["t_lambda"]) <= 1e-10
     # sigma_min comes from eight unrefined inverse-power steps on either
     # factorization; they agree to well below the warning threshold.
     sig = np.array([[a.diagnostics["sigma_min"], b.diagnostics["sigma_min"]]
-                    for a, b in zip(ref.points[1:], short_branch.points[1:])])
+                    for a, b in zip(ref.points[1:], band.points[1:])])
     np.testing.assert_allclose(sig[:, 1], sig[:, 0], rtol=1e-5)
+
+
+# ---------------------------------------------------------- det sign
+
+def _short_trace(cache, n, short_branch):
+    if n == short_branch.grid.n:
+        return short_branch
+    lam_dagger = cache.spark("(2,3,1)", n).lambda_dagger
+    return trace_branch(P1, cache.grid(n),
+                        limits={"lambda_cap": lam_dagger + 0.05})
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_det_sign_matches_slogdet_along_short_trace(cache, short_branch, n):
+    br = _short_trace(cache, n, short_branch)
+    g = br.grid
+    rng = np.random.default_rng(n)
+    pw = pack_weights(g)
+    assert len(br.points) > 40
+    seen = set()
+    for prev, point in zip(br.points, br.points[1:]):
+        st = point.state
+        J = jacobian(st, P1, g)
+        assert BandLU(J, g).det_sign == np.linalg.slogdet(J.toarray())[0]
+        col, row = rng.standard_normal((2, J.shape[0]))
+        corner = rng.standard_normal()
+        # a random border, then the corrector's: F_lambda and the secant
+        for border in ((col, row, corner),
+                       (dresidual_dlambda(st, P1, g),
+                        pw * (pack(st) - pack(prev.state)),
+                        st.lam - prev.state.lam)):
+            sign = np.linalg.slogdet(bordered_matrix(J, *border).toarray())[0]
+            assert BandLU(J, g, *border).det_sign == sign
+            seen.add(sign)
+    assert seen == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("n", [65, 129])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_trivial_family_det_sign_flips_once_at_lambda_star(cache, key, n):
+    """On the trivial family the Jacobian is singular only at the
+    discrete bifurcation point: det_sign flips once on [0.3, 60], there."""
+    p, g = PARAMS[key], cache.grid(n)
+    lam = cache.spark(key, n).lambda_dagger
+    tri = cache.triple(key, n)
+    lam_star, _ = discrete_bifurcation_pair(
+        lam, pack(steady.State(lam, tri.phi_i, tri.phi_e, tri.phi_v)), p, g)
+
+    def sign(x):
+        return BandLU(steady.trivial_linearization(x, p, g), g).det_sign
+
+    lams = np.linspace(0.3, 60.0, 400)
+    signs = np.array([sign(x) for x in lams])
+    flips = np.flatnonzero(signs[1:] != signs[:-1])
+    assert flips.size == 1
+    lo, hi = lams[flips[0]], lams[flips[0] + 1]
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sign(mid) == signs[flips[0]] else (lo, mid)
+    assert abs(0.5 * (lo + hi) - lam_star) <= 1e-6
+
+
+# ------------------------------------------------- work per accepted point
+
+def _counting_band_lu(monkeypatch):
+    counts = {"factor": 0, "solve": 0, "trans": 0}
+
+    class Counting(BandLU):
+        def __init__(self, *args, **kwargs):
+            counts["factor"] += 1
+            super().__init__(*args, **kwargs)
+
+        def solve(self, b, trans=False, refine=True):
+            counts["solve"] += 1
+            counts["trans"] += bool(trans)
+            return super().solve(b, trans=trans, refine=refine)
+
+    monkeypatch.setattr(steady, "BandLU", Counting)
+    monkeypatch.setattr(continuation, "BandLU", Counting)
+    return counts
+
+
+def test_trace_factors_once_per_corrector_iteration_and_tangent(
+        cache, monkeypatch):
+    """A default trace does one factorization and one solve per corrector
+    iteration and per tangent, and no transposed solve; sigma_check adds
+    exactly 16 solves (8 power steps) per accepted point."""
+    g = cache.grid(65)
+    counts = _counting_band_lu(monkeypatch)
+    br = trace_branch(P1, g, limits={"max_steps": 20})
+    accepted = len(br.points) - 1
+    iters = sum(q.diagnostics["newton_iters"] for q in br.points)
+    assert br.termination.kind == "MaxSteps" and accepted == 20
+    assert counts == {"factor": iters + accepted,
+                      "solve": iters + accepted, "trans": 0}
+    assert all("sigma_min" not in q.diagnostics for q in br.points)
+
+    plain = dict(counts)
+    counts.update(factor=0, solve=0, trans=0)
+    checked = trace_branch(P1, g, limits={"max_steps": 20}, sigma_check=True)
+    assert len(checked.points) == len(br.points)
+    assert counts["factor"] == plain["factor"]
+    assert counts["solve"] == plain["solve"] + 16 * accepted
+    assert counts["trans"] == 8 * accepted

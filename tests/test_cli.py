@@ -208,6 +208,25 @@ def test_branch_reruns_are_byte_identical(branch_file, tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_branch_csv_lists_events_before_termination(tmp_path, monkeypatch):
+    trace = cli.continuation.trace_branch
+
+    def with_event(*args, **kwargs):
+        branch = trace(*args, **kwargs)
+        branch.events.append({"kind": "Fold", "s": 0.0025, "lambda": 3.6,
+                              "index": 2})
+        return branch
+
+    monkeypatch.setattr(cli.continuation, "trace_branch", with_event)
+    path = _write_config(tmp_path, grid_n=65, max_steps=3)
+    out = tmp_path / "branch.csv"
+    assert cli.main(["branch", "--config", path, "--out", str(out)]) == EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 6
+    assert lines[-2:] == ["# event=Fold s=0.0025 lambda=3.6",
+                          "# termination=MaxSteps"]
+
+
 def test_branch_without_sign_change_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, gamma=1e-6, grid_n=65)
     assert cli.main(["branch", "--config", path]) == EXIT_NO_SPARK

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PARAMS
+from spark_branch import continuation
 from spark_branch.model import Parameters
 from spark_branch.grid import RadialGrid
 from spark_branch.electron import sparking_voltage
@@ -12,7 +13,8 @@ from spark_branch.continuation import (DEFAULT_LIMITS, Branch, BranchPoint,
                                        initial_tangent, arclength_step,
                                        tangent_and_sigma, trace_branch,
                                        state_norm, high_voltage_diagnostic,
-                                       _diagnostics, _classify)
+                                       crossing_events, _diagnostics,
+                                       _classify)
 from spark_branch.steady import State, pack, pack_weights, trivial_state
 
 P1 = PARAMS["(2,3,1)"]
@@ -228,3 +230,101 @@ def test_newton_failure_recorded_not_raised(cache):
     assert br.termination.kind == "NewtonFailure"
     assert "error" in br.termination.evidence
     assert len(br.points) >= 1
+
+
+# ------------------------------------------------------ test functions
+
+def _tested_point(s, lam, t_lambda, det_sign):
+    st = State(lam, np.zeros(3), np.zeros(3), np.zeros(3))
+    return BranchPoint(s, st, {"t_lambda": t_lambda, "det_sign": det_sign})
+
+
+def test_crossing_events_place_a_fold_at_the_secant_zero():
+    a = _tested_point(1.0, 4.0, 0.02, 1)
+    b = _tested_point(1.2, 4.004, -0.06, 1)
+    (fold,) = crossing_events(a, b, 7)
+    assert fold["kind"] == "Fold" and fold["index"] == 7
+    # t_lambda is linear in s between the points: zero a quarter of the way
+    assert fold["s"] == pytest.approx(1.05, abs=1e-15)
+    assert fold["lambda"] == pytest.approx(4.001, abs=1e-15)
+    assert crossing_events(b, a, 3)[0]["s"] == pytest.approx(1.05, abs=1e-15)
+
+
+def test_crossing_events_ignore_zeros_and_flag_det_sign_flips():
+    # departure: t_lambda is exactly 0 and no bordered LU exists yet
+    seed = _tested_point(0.0, 3.57, 0.0, 0)
+    for t, d in ((0.01, 1), (-0.01, -1)):
+        assert crossing_events(seed, _tested_point(1e-3, 3.57, t, d), 1) == []
+    # a zero t_lambda or det_sign (secant fallback) later on is no sign either
+    a = _tested_point(2.0, 4.0, 0.01, 1)
+    assert crossing_events(a, _tested_point(2.1, 4.0, 0.0, 0), 9) == []
+    (bp,) = crossing_events(a, _tested_point(2.1, 4.002, 0.01, -1), 9)
+    assert bp == {"kind": "BranchPoint", "s": pytest.approx(2.05),
+                  "lambda": pytest.approx(4.001), "index": 9}
+
+
+def test_trace_reports_a_det_sign_flip_as_event_and_warning(cache,
+                                                            monkeypatch):
+    """Negating det_sign from the sixth tangent on must give one
+    BranchPoint event between points 5 and 6, a warning, and otherwise
+    the same trace: the test functions never feed back into the step."""
+    g = cache.grid(65)
+    plain = trace_branch(P1, g, limits={"max_steps": 10})
+    good = continuation.tangent_and_sigma
+    calls = []
+
+    def flipped(*args, **kwargs):
+        t, sigma = good(*args, **kwargs)
+        calls.append(None)
+        if len(calls) >= 6:
+            t.det_sign = -t.det_sign
+        return t, sigma
+
+    monkeypatch.setattr(continuation, "tangent_and_sigma", flipped)
+    br = trace_branch(P1, g, limits={"max_steps": 10})
+    pts = br.points
+    assert br.events == [{"kind": "BranchPoint",
+                          "s": 0.5 * (pts[5].s + pts[6].s),
+                          "lambda": 0.5 * (pts[5].state.lam + pts[6].state.lam),
+                          "index": 6}]
+    assert len(br.warnings) == 1
+    assert "possible secondary bifurcation" in br.warnings[0]
+    assert [q.s for q in pts] == [q.s for q in plain.points]
+    assert plain.events == [] and plain.warnings == []
+
+
+@pytest.fixture(scope="module")
+def plain129(cache):
+    """Default (no sigma_check) 400-step traces at n=129, per frozen set."""
+    return {key: trace_branch(PARAMS[key], cache.grid(129),
+                              limits={"max_steps": 400})
+            for key in sorted(PARAMS)}
+
+
+def test_sigma_check_changes_no_point(plain129, branch129_long):
+    """sigma_min never feeds back into the step: with and without it the
+    trace is the same, bit for bit."""
+    plain = plain129["(2,3,1)"]
+    assert len(plain.points) == len(branch129_long.points)
+    for a, b in zip(plain.points, branch129_long.points):
+        assert a.s == b.s
+        assert np.array_equal(pack(a.state), pack(b.state))
+        assert a.state.lam == b.state.lam
+        assert "sigma_min" not in a.diagnostics
+        assert {k: v for k, v in b.diagnostics.items()
+                if k != "sigma_min"} == a.diagnostics
+    assert plain.termination == branch129_long.termination
+    assert plain.events == branch129_long.events == []
+
+
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_frozen_sets_report_no_events(cache, plain129, branch257_full, key):
+    """No fold and no branch point on the three reference branches, at
+    n=129 (400 steps) and n=257 (the default trace)."""
+    br257 = branch257_full if key == "(2,3,1)" else \
+        trace_branch(PARAMS[key], cache.grid(257))
+    for br in (plain129[key], br257):
+        assert br.events == [] and br.warnings == []
+        t_lam = [q.diagnostics["t_lambda"] for q in br.points[1:]]
+        assert min(t_lam) > 0.0
+        assert {q.diagnostics["det_sign"] for q in br.points[1:]} == {1}

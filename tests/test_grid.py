@@ -156,3 +156,21 @@ def test_banded_solver_reports_singularity():
         _solve_tridiagonal(np.zeros(2), np.array([1e-300, 1.0, 1.0]), np.zeros(2),
                            np.array([1e300, 0.0, 0.0]))
     assert exc.value.condition > 1e12
+
+
+def test_sturm_liouville_offdiagonals_are_shared_read_only():
+    g = RadialGrid(65)
+    q = np.linspace(0.0, 1.0, g.n)
+    sub, diag, sup = sturm_liouville_rows(g, q)
+    sub2, diag2, sup2 = sturm_liouville_rows(g, 0.0)
+    assert sub is sub2 and sup is sup2
+    assert not sub.flags.writeable and not sup.flags.writeable
+    with pytest.raises(ValueError):
+        sub[1] = 0.0
+    d, r, j = g.delta, g.r, slice(1, g.n - 1)
+    assert np.array_equal(sub[j], -1.0 / d**2 + 1.0 / (r[j] * d))
+    assert np.array_equal(sup[j], -1.0 / d**2 - 1.0 / (r[j] * d))
+    assert np.array_equal(diag[j], 2.0 / d**2 - q[j])
+    assert diag2[j].tolist() == [2.0 / d**2] * (g.n - 2)
+    for v in (sub, diag, sup, diag2):
+        assert v[0] == v[-1] == 0.0
