@@ -40,10 +40,10 @@ from scipy.integrate import cumulative_trapezoid
 
 from .electron import ElectronSolution, emission_kernel
 from .grid import (GridFunction, RadialGrid, boundary_derivative,
-                   derivative_all_nodes, node_dH, node_H,
-                   radial_laplacian_all_nodes, solve_sl_dirichlet,
-                   solve_sl_dirichlet_robin, sturm_liouville_rows,
-                   weighted_inner)
+                   derivative_all_nodes, derivative_bands, laplacian_bands,
+                   node_dH, node_H, radial_laplacian_all_nodes,
+                   solve_sl_dirichlet, solve_sl_dirichlet_robin,
+                   sturm_liouville_rows, weighted_inner)
 from .model import (Parameters, g_fn, g_prime, townsend_h,
                     townsend_h_prime)
 
@@ -103,6 +103,12 @@ def nullspace_triple(lam: float, u_dagger: ElectronSolution, p: Parameters,
 # applies it as a sparse product and only svd_probe densifies it (n <= 257).
 # ---------------------------------------------------------------------------
 
+def _trivial_coefficients(lam, p, grid):
+    """h(lambda H'), g(lambda H') and e^{-lambda H/2} at the nodes."""
+    ell = lam * node_dH(grid)
+    return townsend_h(ell, p), g_fn(ell, p), np.exp(-0.5 * lam * node_H(grid))
+
+
 def pack_triple(triple: NullTriple) -> np.ndarray:
     return np.concatenate([triple.phi_i[1:], triple.phi_e[1:], triple.phi_v[1:-1]])
 
@@ -115,8 +121,8 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.spar
     zeros are dropped.  The result is canonical CSR (sorted, no duplicates).
     """
     n = grid.n
-    d = grid.delta
     r = grid.r
+    D = derivative_bands(grid)
     oe, ov = n - 1, 2 * n - 2          # first S_e and W unknown
     row_oe, row_ov = n - 1, 2 * n - 3  # first electron and potential row
     dim = 3 * n - 4
@@ -128,8 +134,7 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.spar
         cols.append(col.ravel())
         vals.append(np.broadcast_to(val, row.shape).ravel())
 
-    h = townsend_h(lam * node_dH(grid), p)
-    emh = np.exp(-0.5 * lam * node_H(grid))
+    h, q, emh = _trivial_coefficients(lam, p, grid)
     j = np.arange(1, n - 1)    # interior nodes; row j - 1 of each block
     jl = j[1:]                 # nodes whose left neighbour is an unknown
     cathode = np.arange(n - 4, n - 1)
@@ -141,32 +146,30 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.spar
     # integral-built phi_i satisfies.
     coef = 2.0 * p.k_i * lam / r ** 2
     s = p.k_e * r ** 2 * h * emh
-    put(jl - 1, jl - 2, coef[jl] * (-1.0 / (2 * d)))
+    put(jl - 1, jl - 2, coef[jl] * D[jl, 1])
     put(jl - 1, oe + jl - 2, -0.25 * s[jl - 1] / r[jl] ** 2)
-    put(j - 1, j, coef[j] * (1.0 / (2 * d)))
+    put(j - 1, j, coef[j] * D[j, 3])
     put(j - 1, oe + j - 1, -0.5 * s[j] / r[j] ** 2)
     put(j - 1, oe + j, -0.25 * s[j + 1] / r[j] ** 2)
-    put(n - 2, cathode, coef[-1] * (np.array([1.0, -4.0, 3.0]) / (2 * d)))
+    put(n - 2, cathode, coef[-1] * D[-1, 0:3])
     put(n - 2, oe + cathode, np.array([0.25, -0.5, -0.75]) * s[n - 3:] / r[-1] ** 2)
 
     # electron rows at j=1..n-2: -(S_e'' + (2/r) S_e') - g S_e
-    q = g_fn(lam * node_dH(grid), p)
     sub, diag, sup = sturm_liouville_rows(grid, q)
     put(row_oe + jl - 1, oe + jl - 2, sub[jl])
     put(row_oe + j - 1, oe + j - 1, diag[j])
     put(row_oe + j - 1, oe + j, sup[j])
 
     # potential rows at j=1..n-2: lap W - S_i + e^{-lam H/2} S_e
-    sub0, diag0, sup0 = sturm_liouville_rows(grid, np.zeros(n))
-    put(row_ov + jl - 1, ov + jl - 2, -sub0[jl])
-    put(row_ov + j - 1, ov + j - 1, -diag0[j])
-    put(row_ov + j[:-1] - 1, ov + j[:-1], -sup0[j[:-1]])
+    L = laplacian_bands(grid)
+    put(row_ov + jl - 1, ov + jl - 2, L[jl, 2])
+    put(row_ov + j - 1, ov + j - 1, L[j, 3])
+    put(row_ov + j[:-1] - 1, ov + j[:-1], L[j[:-1], 4])
     put(row_ov + j - 1, j - 1, -1.0)
     put(row_ov + j - 1, oe + j - 1, emh[j])
 
     # cathode-emission row
-    put(dim - 1, oe + cathode,
-        np.array([1.0 / (2 * d), -4.0 / (2 * d), 3.0 / (2 * d) + 0.25 * lam]))
+    put(dim - 1, oe + cathode, D[-1, 0:3] + [0.0, 0.0, 0.25 * lam])
     put(dim - 1, n - 2, -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam))
 
     A = scipy.sparse.csr_matrix(
@@ -236,19 +239,14 @@ def transversality_F(lam: float, u_dagger: ElectronSolution, w_sol: AdjointSolut
 def transversality_crosscheck(lam: float, triple: NullTriple, w_sol: AdjointSolution,
                               p: Parameters, grid: RadialGrid) -> float:
     """The same number assembled as the raw pairing of the lambda-derivative
-    rows against the left null vector (psi_i constant, psi_v = 0,
-    psi_b = 4 w(2)).  Agrees with transversality_F to O(delta^2) exactly when
-    the triple annihilates the cathode-emission row; for a generic profile the
-    two forms differ by twice that row's value."""
+    rows against the left null vector (pairing_with_left_null: psi_i
+    constant, psi_v = 0, psi_b = 4 w(2)).  Agrees with transversality_F to
+    O(delta^2) exactly when the triple annihilates the cathode-emission row;
+    for a generic profile the two forms differ by twice that row's value."""
     r = grid.r
     H = node_H(grid)
     dH = node_dH(grid)
     ell = lam * dH
-    w = w_sol.w
-    w2 = w[-1]
-    psi_i = (p.gamma / p.k_e) * np.exp(0.5 * lam) * w2
-    psi_b = 4.0 * w2
-
     emh = np.exp(-0.5 * lam * H)
     # d(phi_i)/dr through the transport relation that defines phi_i
     dphi_i = (p.k_e / (2.0 * p.k_i * lam)) * grid.r ** 2 \
@@ -258,11 +256,7 @@ def transversality_crosscheck(lam: float, triple: NullTriple, w_sol: AdjointSolu
     f_e = -g_prime(ell, p) * dH * triple.phi_e
     f_b = 0.25 * triple.phi_e[-1] - p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) \
         * (0.25 * lam + 0.5) * triple.phi_i[-1]
-
-    ones = np.ones(grid.n)
-    return float(psi_i * weighted_inner(f_i, ones, grid)
-                 + weighted_inner(w, f_e, grid)
-                 + psi_b * f_b)
+    return pairing_with_left_null(lam, (f_i, f_e, None, f_b), w_sol, p, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +267,7 @@ def _forward_rows(lam, S_i, S_e, W, p, grid):
     """The four linearized rows evaluated at every node (end rows use
     one-sided stencils; they only ever enter O(delta)-weight quadrature)."""
     r = grid.r
-    dH = node_dH(grid)
-    H = node_H(grid)
-    h = townsend_h(lam * dH, p)
-    q = g_fn(lam * dH, p)
-    emh = np.exp(-0.5 * lam * H)
+    h, q, emh = _trivial_coefficients(lam, p, grid)
     L1 = 2.0 * p.k_i * lam / r ** 2 * derivative_all_nodes(S_i, grid) - p.k_e * h * emh * S_e
     L2 = -radial_laplacian_all_nodes(S_e, grid) - q * S_e
     L3 = radial_laplacian_all_nodes(W, grid) - S_i + emh * S_e
@@ -288,11 +278,7 @@ def _forward_rows(lam, S_i, S_e, W, p, grid):
 
 def _adjoint_rows(lam, psi_i, psi_e, psi_v, p, grid):
     r = grid.r
-    dH = node_dH(grid)
-    H = node_H(grid)
-    h = townsend_h(lam * dH, p)
-    q = g_fn(lam * dH, p)
-    emh = np.exp(-0.5 * lam * H)
+    h, q, emh = _trivial_coefficients(lam, p, grid)
     A1 = -2.0 * p.k_i * lam / r ** 2 * derivative_all_nodes(psi_i, grid) - psi_v
     A2 = (-radial_laplacian_all_nodes(psi_e, grid) - q * psi_e
           - p.k_e * h * emh * psi_i + emh * psi_v)

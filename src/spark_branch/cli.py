@@ -68,6 +68,12 @@ class RunConfig:
         if self.grid_n < MIN_NODES:
             raise UsageError(f"grid_n must be at least {MIN_NODES}, "
                              f"got {self.grid_n}")
+        for key in ("h_first", "h_min", "h_max", "newton_tol", "root_tol"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise UsageError(f"{key} must be positive and finite, "
+                                 f"got {getattr(self, key)!r}")
+        if not self.h_min <= self.h_first <= self.h_max:
+            raise UsageError("need h_min <= h_first <= h_max")
 
     def parameters(self) -> Parameters:
         return Parameters(a=self.a, b=self.b, gamma=self.gamma,
@@ -203,8 +209,7 @@ def cmd_branch(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- scan
 
-def _scan_axis_row(cfg: RunConfig, axis: str, value: float):
-    p = dataclasses.replace(cfg.parameters(), **{axis: value})
+def _scan_axis_row(cfg: RunConfig, p: Parameters):
     grid = cfg.grid()
     try:
         spark = sparking_voltage(p, grid, tol=cfg.root_tol)
@@ -212,9 +217,9 @@ def _scan_axis_row(cfg: RunConfig, axis: str, value: float):
         w_sol = solve_adjoint_w(lam, p, grid)
         f_val = transversality_F(lam, spark.u_dagger, w_sol, p, grid)
         cg = critical_gamma(lam, p, grid)
-        return value, lam, abs(f_val), cg
+        return lam, abs(f_val), cg
     except (NoSignChange, SolverFailure, BandedSolveError):
-        return value, float("nan"), float("nan"), float("nan")
+        return float("nan"), float("nan"), float("nan")
 
 
 def _thread_count(rows: int) -> int:
@@ -236,12 +241,16 @@ def cmd_scan(cfg: RunConfig, axis: str, lo: float, hi: float,
     if count < 1 or not (lo < hi or (lo == hi and count == 1)):
         raise UsageError("empty scan range")
     values = np.linspace(lo, hi, count)
+    try:
+        params = [dataclasses.replace(cfg.parameters(), **{axis: v})
+                  for v in values]
+    except ValueError as exc:
+        raise UsageError(f"scan over {axis}: {exc}")
     with ThreadPoolExecutor(max_workers=_thread_count(count)) as pool:
-        rows = list(pool.map(lambda v: _scan_axis_row(cfg, axis, v), values))
+        rows = list(pool.map(lambda p: _scan_axis_row(cfg, p), params))
     lines = [f"{axis},lambda_dagger,abs_F,critical_gamma"]
-    for value, lam, f_abs, cg in rows:    # pool.map keeps axis order
-        lines.append(",".join(repr(float(v))
-                              for v in (value, lam, f_abs, cg)))
+    for value, row in zip(values, rows):    # pool.map keeps axis order
+        lines.append(",".join(repr(float(v)) for v in (value, *row)))
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

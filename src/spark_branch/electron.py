@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (GridFunction, RadialGrid, BandedSolveError, boundary_derivative,
-                   integrate, node_dH, solve_sl_dirichlet, solve_sl_dirichlet_robin,
-                   sturm_liouville_rows)
+                   integrate, node_dH, radial_laplacian_all_nodes,
+                   solve_sl_dirichlet, solve_sl_dirichlet_robin)
 from .model import Parameters, g_fn, g_prime
 
 LAMBDA_SCAN_MIN = 1e-2
@@ -344,8 +344,5 @@ def auxiliary_U_stencil_residual(lam: float, grid: RadialGrid) -> float:
     with a large constant at high voltage (the profile steepens near the
     cathode), so only the order is meaningful, not a small constant."""
     U = auxiliary_U(lam, grid)
-    q = -lam ** 2 / grid.r ** 4
-    sub, diag, sup = sturm_liouville_rows(grid, q)
-    j = slice(1, grid.n - 1)
-    res = sub[j] * U[:-2] + diag[j] * U[1:-1] + sup[j] * U[2:]
-    return float(np.max(np.abs(res)))
+    res = radial_laplacian_all_nodes(U, grid) - lam ** 2 / grid.r ** 4 * U
+    return float(np.max(np.abs(res[1:-1])))

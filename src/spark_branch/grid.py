@@ -7,6 +7,9 @@ Conventions used throughout the package:
   quadrature, so discrete integration-by-parts identities hold to O(delta^2);
 * interior stencils are centered second order, boundary derivatives are
   one-sided second order (exact on quadratics), no ghost nodes;
+* each stencil is written once, in its vector form; the band tables
+  (derivative_bands, laplacian_bands) are read off those forms, and every
+  other use of a coefficient reads the tables;
 * Sturm-Liouville solves pin their Dirichlet values: only the free unknowns
   enter one tridiagonal LAPACK solve, so u(1) = 0, and u(2) where imposed,
   hold exactly rather than to the solve's rounding error.
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .model import harmonic_H, harmonic_dH
 
@@ -44,11 +46,11 @@ class RadialGrid:
         self._cache = {}
 
     def cached(self, key: str, build):
-        """Per-grid memo for derived operators and layouts (stencil
-        matrices, H and H' at the nodes, packed weights, the
-        Sturm-Liouville off-diagonals, the Jacobian pattern and its band
-        layout): build(self) runs on the first request for key, later
-        requests share its value."""
+        """Per-grid memo for derived operators and layouts (the stencil
+        band tables, H and H' at the nodes, packed weights, the
+        Sturm-Liouville rows and Robin cathode row, the Jacobian pattern
+        and its band layout): build(self) runs on the first request for
+        key, later requests share its value."""
         try:
             return self._cache[key]
         except KeyError:
@@ -88,32 +90,25 @@ def sturm_liouville_rows(grid: RadialGrid, q: GridFunction):
     """Tridiagonal coefficients of -u'' - (2/r) u' - q(r) u at interior nodes.
 
     Returns (sub, diag, sup), each of length n; row j couples
-    (u[j-1], u[j], u[j+1]) for j = 1..n-2.  The two boundary rows are
-    zero.  sub and sup do not depend on q: they are built once per grid
-    and shared read-only, so a caller that imposes boundary conditions
-    works on copies.
+    (u[j-1], u[j], u[j+1]) for j = 1..n-2.  The rows are the negated
+    interior rows of laplacian_bands with -q added on the diagonal; the
+    two boundary rows are zero.  sub and sup do not depend on q: they
+    are shared read-only per grid, so a caller that imposes boundary
+    conditions works on copies.
     """
-    sub, sup = grid.cached("sturm_liouville_offdiagonals",
-                           _sturm_liouville_offdiagonals)
+    sub, mid, sup = grid.cached("sturm_liouville_rows", _sturm_liouville_bands)
     q = np.broadcast_to(np.asarray(q, dtype=float), (grid.n,))
     diag = np.zeros(grid.n)
-    diag[1:-1] = 2.0 / grid.delta**2 - q[1:-1]
+    diag[1:-1] = mid[1:-1] - q[1:-1]
     return sub, diag, sup
 
 
-def _sturm_liouville_offdiagonals(grid: RadialGrid):
-    """The q-independent sub- and superdiagonal of sturm_liouville_rows,
-    read-only because every call shares them."""
-    d = grid.delta
-    r = grid.r
-    sub = np.zeros(grid.n)
-    sup = np.zeros(grid.n)
-    j = slice(1, grid.n - 1)
-    sub[j] = -1.0 / d**2 + 1.0 / (r[j] * d)
-    sup[j] = -1.0 / d**2 - 1.0 / (r[j] * d)
-    sub.flags.writeable = False
-    sup.flags.writeable = False
-    return sub, sup
+def _sturm_liouville_bands(grid: RadialGrid):
+    """Sub-, main and superdiagonal of the negated laplacian_bands at the
+    interior nodes, zero at the two ends; read-only."""
+    rows = np.zeros((3, grid.n))
+    rows[:, 1:-1] = -laplacian_bands(grid)[1:-1, 2:5].T
+    return tuple(_read_only(rows))
 
 
 def boundary_derivative(u: GridFunction, grid: RadialGrid, end: str) -> float:
@@ -160,18 +155,20 @@ def solve_sl_dirichlet_robin(grid: RadialGrid, q, f, cathode_slope: float) -> Gr
     """Solve -u'' - (2/r)u' - q u = f with u(1) = 0, u'(2) = cathode_slope.
 
     u(1) = 0 holds by construction: the system is solved for u[1:] only.
-    The cathode row imposes the one-sided stencil (1, -4, 3)/(2 delta) and
-    is brought to tridiagonal form by eliminating u[n-3] against the last
-    interior row.
+    The cathode row is the last row of derivative_bands (the one-sided
+    cathode slope, cached per grid as Python floats, which the solve reads
+    faster than numpy scalars) and is brought to tridiagonal form by
+    eliminating u[n-3] against the last interior row.
     """
-    c = 0.5 / grid.delta
+    far, near, end = grid.cached(
+        "robin_row", lambda g: tuple(derivative_bands(g)[-1, 0:3].tolist()))
     sub, diag, sup = sturm_liouville_rows(grid, q)
-    m = c / sub[-2]
+    m = far / sub[-2]
     rhs = (np.zeros(grid.n) + f)[1:]
     rhs[-1] = cathode_slope - m * rhs[-2]
     u = np.zeros(grid.n)
-    u[1:] = _solve_tridiagonal(np.append(sub[2:-1], -4.0 * c - m * diag[-2]),
-                               np.append(diag[1:-1], 3.0 * c - m * sup[-2]),
+    u[1:] = _solve_tridiagonal(np.append(sub[2:-1], near - m * diag[-2]),
+                               np.append(diag[1:-1], end - m * sup[-2]),
                                sup[1:-1], rhs)
     return u
 
@@ -191,55 +188,34 @@ def solve_sl_dirichlet(grid: RadialGrid, q, f, cathode_value: float = 0.0) -> Gr
     return u
 
 
-def derivative_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """Sparse first-derivative stencil on all nodes: centered in the
-    interior, one-sided second order at the two ends.  Cached per grid."""
-    return grid.cached("derivative_matrix", _build_derivative_matrix)
+def derivative_bands(grid: RadialGrid) -> np.ndarray:
+    """derivative_all_nodes as an (n, 5) band table: entry [i, 2 + o] is
+    the coefficient of u[i + o] in u'[i], zero off the stencil.  Cached
+    per grid, read-only."""
+    return grid.cached("derivative_bands",
+                       lambda g: _probe_bands(derivative_all_nodes, g, 2))
 
 
-def _build_derivative_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    n = grid.n
-    d = grid.delta
-    j = np.arange(1, n - 1)
-    rows = np.concatenate([[0, 0, 0], j, j, [n - 1] * 3])
-    cols = np.concatenate([[0, 1, 2], j - 1, j + 1, [n - 3, n - 2, n - 1]])
-    vals = np.concatenate([
-        [-3.0 / (2 * d), 4.0 / (2 * d), -1.0 / (2 * d)],
-        np.full(n - 2, -1.0 / (2 * d)), np.full(n - 2, 1.0 / (2 * d)),
-        [1.0 / (2 * d), -4.0 / (2 * d), 3.0 / (2 * d)]])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def laplacian_bands(grid: RadialGrid) -> np.ndarray:
+    """radial_laplacian_all_nodes as an (n, 7) band table: entry
+    [i, 3 + o] is the coefficient of u[i + o] at node i, zero off the
+    stencil.  Cached per grid, read-only."""
+    return grid.cached("laplacian_bands",
+                       lambda g: _probe_bands(radial_laplacian_all_nodes, g, 3))
 
 
-def laplacian_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """Sparse matrix form of radial_laplacian_all_nodes (same stencils).
-    Cached per grid."""
-    return grid.cached("laplacian_matrix", _build_laplacian_matrix)
-
-
-def _build_laplacian_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    n = grid.n
-    d2 = grid.delta ** 2
-    j = np.arange(1, n - 1)
-    ends = [2.0 / d2, -5.0 / d2, 4.0 / d2, -1.0 / d2]
-    rows = np.concatenate([[0] * 4, j, j, j, [n - 1] * 4])
-    cols = np.concatenate([[0, 1, 2, 3], j - 1, j, j + 1,
-                           [n - 1, n - 2, n - 3, n - 4]])
-    vals = np.concatenate([ends, np.full(n - 2, 1.0 / d2),
-                           np.full(n - 2, -2.0 / d2), np.full(n - 2, 1.0 / d2),
-                           ends])
-    second = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    over_r = scipy.sparse.diags(2.0 / grid.r)
-    return (second + over_r @ derivative_matrix(grid)).tocsr()
-
-
-def stencil_bands(mat: scipy.sparse.csr_matrix, width: int) -> np.ndarray:
-    """Rows of a banded matrix as an (n, 2*width + 1) array: entry
-    [i, width + o] holds mat[i, i + o], zero where the stencil has none.
-    The values are the stored ones, bit for bit."""
-    coo = mat.tocoo()
-    bands = np.zeros((mat.shape[0], 2 * width + 1))
-    bands[coo.row, coo.col - coo.row + width] = coo.data
-    return bands
+def _probe_bands(apply, grid: RadialGrid, width: int) -> np.ndarray:
+    """Band table of the linear vector form apply(u, grid), whose row i
+    touches only u[i - width .. i + width].  Comb c is 1 at the nodes
+    k = c (mod 2 width + 1), so each row meets exactly one 1 and returns
+    that coefficient, the same float the vector form computes."""
+    period = 2 * width + 1
+    i = np.arange(grid.n)
+    bands = np.zeros((grid.n, period))
+    for c in range(period):
+        comb = (i % period == c).astype(float)
+        bands[i, (c - i + width) % period] = apply(comb, grid)
+    return _read_only(bands)
 
 
 def second_derivative_all_nodes(u: GridFunction, grid: RadialGrid) -> np.ndarray:
@@ -258,8 +234,8 @@ def derivative_all_nodes(u: GridFunction, grid: RadialGrid) -> np.ndarray:
     d = grid.delta
     out = np.empty(grid.n)
     out[1:-1] = (u[2:] - u[:-2]) / (2 * d)
-    out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * d)
-    out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * d)
+    out[0] = boundary_derivative(u, grid, "anode")
+    out[-1] = boundary_derivative(u, grid, "cathode")
     return out
 
 

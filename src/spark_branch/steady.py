@@ -26,11 +26,12 @@ Assembly.  The Jacobian's sparsity pattern depends only on the grid, so
 it is built once per grid (JacobianPattern, kept in the grid's cache)
 with vectorized numpy from the row stencils of the four blocks.  Each
 jacobian call then fills one data vector.  Every entry is computed from
-the stored band values of derivative_matrix and laplacian_matrix by the
-same floating-point expression, in the same order, as the product of
-stencil matrices it differentiates, and exact zeros are dropped; the CSR
-result is therefore bit-identical to composing the blocks with
-scipy.sparse (tests/oracles.py keeps that composition as the reference).
+the grid's derivative_bands and laplacian_bands (the stencil
+coefficients, read off the vector forms) by the same floating-point
+expression, in the same order, as the product of stencil matrices it
+differentiates, and exact zeros are dropped; the CSR result is therefore
+bit-identical to composing the blocks with scipy.sparse (tests/oracles.py
+keeps that composition as the reference).
 
 Linear solves.  Ordered node by node, rows (F1_j, F2_j, F3_j) against
 unknowns (rho_i(j), R_e(j), V(j)) with F4 in the cathode R_e slot, every
@@ -54,9 +55,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .model import Parameters, townsend_h, townsend_h_prime
 from .grid import (RadialGrid, GridFunction, derivative_all_nodes,
-                   radial_laplacian_all_nodes, derivative_matrix,
-                   laplacian_matrix, boundary_derivative, node_dH, node_H,
-                   stencil_bands)
+                   radial_laplacian_all_nodes, derivative_bands,
+                   laplacian_bands, boundary_derivative, node_dH, node_H)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
@@ -242,8 +242,8 @@ class JacobianPattern:
     node and a column per stencil entry; keep marks the in-range entries
     of the concatenated slabs, which in CSR order match indices and
     indptr.
-    dband and lband are the stored values of derivative_matrix and
-    laplacian_matrix by diagonal (offsets -2..2 and -3..3)."""
+    dband and lband are the grid's derivative_bands and laplacian_bands
+    (offsets -2..2 and -3..3)."""
     dband: np.ndarray
     lband: np.ndarray
     keep: np.ndarray
@@ -278,8 +278,8 @@ def _jacobian_pattern(grid: RadialGrid) -> JacobianPattern:
     indptr = np.zeros(3 * n - 3, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     return JacobianPattern(
-        dband=stencil_bands(derivative_matrix(grid), 2),
-        lband=stencil_bands(laplacian_matrix(grid), 3),
+        dband=derivative_bands(grid),
+        lband=laplacian_bands(grid),
         keep=keep,
         indices=cols[keep].astype(np.int32),
         indptr=indptr,

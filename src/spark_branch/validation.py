@@ -49,15 +49,12 @@ def shoot_linear_robin(grid: RadialGrid, q_of_r, f_of_r, cathode_slope: float):
     samples on the grid nodes.
     """
     hom = _integrate_linear(grid, q_of_r, lambda r: 0.0, [0.0, 1.0])
-    if f_of_r is None:
-        dh2 = hom.y[1, -1]
-        if dh2 == 0.0:
-            raise RuntimeError("degenerate shooting: homogeneous slope vanished at cathode")
-        return (cathode_slope / dh2) * hom.sol(grid.r)[0]
-    part = _integrate_linear(grid, q_of_r, f_of_r, [0.0, 0.0])
     dh2 = hom.y[1, -1]
     if dh2 == 0.0:
         raise RuntimeError("degenerate shooting: homogeneous slope vanished at cathode")
+    if f_of_r is None:
+        return (cathode_slope / dh2) * hom.sol(grid.r)[0]
+    part = _integrate_linear(grid, q_of_r, f_of_r, [0.0, 0.0])
     s = (cathode_slope - part.y[1, -1]) / dh2
     return part.sol(grid.r)[0] + s * hom.sol(grid.r)[0]
 

@@ -131,13 +131,53 @@ def transversality_F(lam, a, b, gamma):
 # ---------------------------------------------------------------------------
 # Jacobian by composition of sparse stencil matrices
 # ---------------------------------------------------------------------------
-# Unlike the continuum references above, these use the package's own
-# discrete stencils.  They compose the steady Jacobian, and its value at
-# the trivial state, from diags, bmat and sparse products, one block at a
-# time, the way the formulas read; the package fills a fixed pattern
-# instead.  The tests require the general Jacobian to agree in indptr,
+# Unlike the continuum references above, these use the package's
+# discrete stencils, written out here as sparse matrices entry by entry
+# (the package reads its coefficients off the vector forms instead).  They
+# compose the steady Jacobian, and its value at the trivial state, from
+# diags, bmat and sparse products, one block at a time, the way the
+# formulas read; the package fills a fixed pattern instead.  The tests require the general Jacobian to agree in indptr,
 # indices and data exactly, and the trivial-state one in pattern and to
 # within rounding in the entries.
+
+def derivative_matrix_reference(grid):
+    """Sparse first-derivative stencil on all nodes: centered in the
+    interior, one-sided second order at the two ends, written out entry
+    by entry."""
+    import scipy.sparse
+
+    n = grid.n
+    d = grid.delta
+    j = np.arange(1, n - 1)
+    rows = np.concatenate([[0, 0, 0], j, j, [n - 1] * 3])
+    cols = np.concatenate([[0, 1, 2], j - 1, j + 1, [n - 3, n - 2, n - 1]])
+    vals = np.concatenate([
+        [-3.0 / (2 * d), 4.0 / (2 * d), -1.0 / (2 * d)],
+        np.full(n - 2, -1.0 / (2 * d)), np.full(n - 2, 1.0 / (2 * d)),
+        [1.0 / (2 * d), -4.0 / (2 * d), 3.0 / (2 * d)]])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def laplacian_matrix_reference(grid):
+    """Sparse radial Laplacian u'' + (2/r) u' on all nodes: the second
+    derivative (4-point one-sided at the ends) plus diag(2/r) times
+    derivative_matrix_reference."""
+    import scipy.sparse
+
+    n = grid.n
+    d2 = grid.delta ** 2
+    j = np.arange(1, n - 1)
+    ends = [2.0 / d2, -5.0 / d2, 4.0 / d2, -1.0 / d2]
+    rows = np.concatenate([[0] * 4, j, j, j, [n - 1] * 4])
+    cols = np.concatenate([[0, 1, 2, 3], j - 1, j, j + 1,
+                           [n - 1, n - 2, n - 3, n - 4]])
+    vals = np.concatenate([ends, np.full(n - 2, 1.0 / d2),
+                           np.full(n - 2, -2.0 / d2), np.full(n - 2, 1.0 / d2),
+                           ends])
+    second = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    over_r = scipy.sparse.diags(2.0 / grid.r)
+    return (second + over_r @ derivative_matrix_reference(grid)).tocsr()
+
 
 def _eye_rows(n, start, offset):
     """Rows start..n-1 of the identity shifted by offset columns."""
@@ -155,7 +195,6 @@ def jacobian_reference(state, p, grid):
     """Steady Jacobian composed from scipy.sparse stencil matrices."""
     import scipy.sparse
     from spark_branch.grid import (boundary_derivative, derivative_all_nodes,
-                                   derivative_matrix, laplacian_matrix,
                                    radial_laplacian_all_nodes)
     from spark_branch.model import (harmonic_dH, harmonic_H, townsend_h,
                                     townsend_h_prime)
@@ -168,8 +207,8 @@ def jacobian_reference(state, p, grid):
     dH = harmonic_dH(r)
     H = harmonic_H(r)
     emh = np.exp(-0.5 * lam * H)
-    D = derivative_matrix(grid)
-    L = laplacian_matrix(grid)
+    D = derivative_matrix_reference(grid)
+    L = laplacian_matrix_reference(grid)
 
     E = field(state, grid)
     absE = np.abs(E)
@@ -229,8 +268,7 @@ def trivial_linearization_reference(lam, p, grid):
     scipy.sparse stencil matrices with the steady module's upwind ion
     row; the package takes the Jacobian at the trivial state instead."""
     import scipy.sparse
-    from spark_branch.grid import (derivative_matrix, laplacian_matrix,
-                                   node_dH, node_H)
+    from spark_branch.grid import node_dH, node_H
     from spark_branch.model import g_fn, townsend_h
 
     n = grid.n
@@ -241,7 +279,7 @@ def trivial_linearization_reference(lam, p, grid):
     emh = np.exp(-0.5 * lam * H)
     h = townsend_h(lam * dH, p)
     g = g_fn(lam * dH, p)
-    L = laplacian_matrix(grid)
+    L = laplacian_matrix_reference(grid)
     rows_int = slice(1, n - 1)
 
     # L1: 2 k_i lambda / r^2 backward difference - k_e h emh S_e

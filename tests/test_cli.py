@@ -72,6 +72,39 @@ def test_load_config_rejections(tmp_path, payload, fragment):
         load_config(path)
 
 
+@pytest.mark.parametrize("payload,fragment", [
+    ({"h_first": 0.0}, "h_first must be positive and finite"),
+    ({"h_first": -0.01}, "h_first must be positive and finite"),
+    ({"h_min": 0.0}, "h_min must be positive and finite"),
+    ({"h_max": float("inf")}, "h_max must be positive and finite"),
+    ({"newton_tol": 0.0}, "newton_tol must be positive and finite"),
+    ({"root_tol": -1e-10}, "root_tol must be positive and finite"),
+    ({"root_tol": float("nan")}, "root_tol must be positive and finite"),
+    ({"h_min": 0.01}, "h_min <= h_first <= h_max"),
+    ({"h_first": 0.5}, "h_min <= h_first <= h_max"),
+])
+def test_load_config_rejects_bad_steps_and_tolerances(tmp_path, payload,
+                                                      fragment):
+    path = _write_config(tmp_path, grid_n=65, **payload)
+    with pytest.raises(UsageError, match=fragment):
+        load_config(path)
+
+
+def test_load_config_accepts_loose_root_tol(tmp_path):
+    # a loose tolerance is a valid (if poor) choice; validate flags it
+    assert load_config(_write_config(tmp_path, root_tol=10.0)).root_tol == 10.0
+
+
+@pytest.mark.parametrize("h_first", [0.0, -0.01])
+def test_nonpositive_step_exits_64_without_output(tmp_path, capsys, h_first):
+    path = _write_config(tmp_path, grid_n=65, h_first=h_first)
+    out = tmp_path / "branch.csv"
+    assert cli.main(["branch", "--config", path, "--out", str(out)]) \
+        == EXIT_USAGE
+    assert "h_first must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_config_requires_json_object(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]", encoding="utf-8")
@@ -290,6 +323,19 @@ def test_scan_bug_propagates_instead_of_nan_row(tmp_path, monkeypatch):
         cli.main(["scan", "--grid-n", "65", "--axis", "gamma",
                   "--range", "1.0", "1.0", "--count", "1",
                   "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,lo,hi", [("gamma", "0", "1"), ("a", "-1", "2")])
+def test_scan_invalid_parameter_exits_64_without_output(tmp_path, capsys,
+                                                        axis, lo, hi):
+    # every row's parameters are checked before any row runs
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--grid-n", "65", "--axis", axis,
+                     "--range", lo, hi, "--count", "2",
+                     "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"parameter {axis} must be positive and finite" in err
     assert not out.exists()
 
 

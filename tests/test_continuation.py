@@ -293,6 +293,40 @@ def test_trace_reports_a_det_sign_flip_as_event_and_warning(cache,
     assert plain.events == [] and plain.warnings == []
 
 
+def test_secant_tangent_replaces_a_failed_tangent_solve(cache, monkeypatch):
+    """When tangent_and_sigma fails once, arclength_step falls back to the
+    normalized secant through the last two points: the trace goes on, the
+    point records det_sign 0, and the secant has unit extended norm and
+    keeps the orientation of the tangent before it."""
+    g = cache.grid(65)
+    good = continuation.tangent_and_sigma
+    seen = []
+
+    def fails_third(state, tangent, *args, **kwargs):
+        seen.append(tangent)
+        if len(seen) == 3:
+            return None, 0.0
+        return good(state, tangent, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "tangent_and_sigma", fails_third)
+    br = trace_branch(P1, g, limits={"max_steps": 6})
+    pts = br.points
+    assert br.termination.kind == "MaxSteps" and len(pts) == 7
+    assert [q.diagnostics["det_sign"] for q in pts].count(0) == 2
+    assert pts[3].diagnostics["det_sign"] == 0
+    assert all(q.diagnostics["det_sign"] != 0 for q in pts[4:])
+
+    before, secant = seen[2], seen[3]   # tangents handed to steps 3 and 4
+    assert continuation.ext_inner(secant, secant, g) == pytest.approx(1.0, rel=1e-13)
+    assert continuation.ext_inner(secant, before, g) > 0.0
+    assert pts[3].diagnostics["t_lambda"] == secant.dlam
+    dx = pack(pts[3].state) - pack(pts[2].state)
+    dlam = pts[3].state.lam - pts[2].state.lam
+    norm = np.sqrt(np.dot(pack_weights(g) * dx, dx) + dlam * dlam)
+    assert secant.dlam == pytest.approx(dlam / norm, rel=1e-12)
+    assert np.allclose(secant.x, dx / norm, rtol=0.0, atol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def plain129(cache):
     """Default (no sigma_check) 400-step traces at n=129, per frozen set."""

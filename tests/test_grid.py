@@ -5,13 +5,15 @@ import pytest
 
 from spark_branch.grid import (RadialGrid, weighted_inner, integrate,
                                boundary_derivative, solve_sl_dirichlet,
-                               solve_sl_dirichlet_robin, derivative_matrix,
-                               laplacian_matrix, derivative_all_nodes,
+                               solve_sl_dirichlet_robin, derivative_bands,
+                               laplacian_bands, derivative_all_nodes,
                                second_derivative_all_nodes,
                                radial_laplacian_all_nodes, sturm_liouville_rows,
                                node_dH, BandedSolveError)
 from spark_branch.model import Parameters, g_fn
 from spark_branch.validation import convergence_orders
+
+from oracles import derivative_matrix_reference, laplacian_matrix_reference
 
 G = RadialGrid(129)
 
@@ -68,12 +70,76 @@ def test_all_node_stencils_second_order():
     assert np.all(convergence_orders(errs_lap) > 1.8)
 
 
+def _apply_bands(bands, u):
+    """Sum over offsets o of bands[:, width + o] * u[i + o], zero-padded."""
+    width = bands.shape[1] // 2
+    padded = np.concatenate([np.zeros(width), u, np.zeros(width)])
+    return sum(bands[:, k] * padded[k:k + u.size] for k in range(bands.shape[1]))
+
+
+def _reference_bands(mat, width):
+    """Stored values of a sparse banded matrix by diagonal, as in the
+    band tables: entry [i, width + o] holds mat[i, i + o]."""
+    coo = mat.tocoo()
+    bands = np.zeros((mat.shape[0], 2 * width + 1))
+    bands[coo.row, coo.col - coo.row + width] = coo.data
+    return bands
+
+
 def test_matrix_forms_match_function_forms():
+    # the band tables, applied as matrices, reproduce the vector forms
     u = np.cos(1.7 * G.r) + G.r ** 2
-    assert np.allclose(derivative_matrix(G) @ u, derivative_all_nodes(u, G),
-                       atol=1e-11)
-    assert np.allclose(laplacian_matrix(G) @ u, radial_laplacian_all_nodes(u, G),
-                       atol=1e-9)
+    assert np.allclose(_apply_bands(derivative_bands(G), u),
+                       derivative_all_nodes(u, G), atol=1e-11)
+    assert np.allclose(_apply_bands(laplacian_bands(G), u),
+                       radial_laplacian_all_nodes(u, G), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [33, 65, 100, 257, 1025, 4097])
+def test_band_tables_equal_reference_matrices_bitwise(n):
+    g = RadialGrid(n)
+    D, L = derivative_bands(g), laplacian_bands(g)
+    assert D.shape == (n, 5) and L.shape == (n, 7)
+    assert D.tobytes() == _reference_bands(derivative_matrix_reference(g), 2).tobytes()
+    assert L.tobytes() == _reference_bands(laplacian_matrix_reference(g), 3).tobytes()
+
+
+def test_band_tables_are_shared_read_only():
+    g = RadialGrid(65)
+    for table in (derivative_bands, laplacian_bands):
+        bands = table(g)
+        assert table(g) is bands
+        assert not bands.flags.writeable
+        with pytest.raises(ValueError):
+            bands[1, 1] = 0.0
+    assert derivative_bands(RadialGrid(65)) is not derivative_bands(g)
+
+
+@pytest.mark.parametrize("n", [65, 100, 257])
+def test_sturm_liouville_rows_are_negated_laplacian_rows(n):
+    g = RadialGrid(n)
+    q = np.linspace(-1.0, 2.0, n)
+    sub, diag, sup = sturm_liouville_rows(g, q)
+    L, j = laplacian_bands(g), slice(1, n - 1)
+    assert np.array_equal(sub[j], -L[j, 2])
+    assert np.array_equal(diag[j], -L[j, 3] - q[j])
+    assert np.array_equal(sup[j], -L[j, 4])
+    assert sub[0] == diag[0] == sup[0] == sub[-1] == diag[-1] == sup[-1] == 0.0
+
+
+@pytest.mark.parametrize("n", [65, 100, 257])
+def test_robin_row_is_last_derivative_row(n):
+    g = RadialGrid(n)
+    solve_sl_dirichlet_robin(g, 0.0, 0.0, 1.0)
+    row = g.cached("robin_row", None)   # cached by the solve
+    assert all(type(v) is float for v in row)
+    assert row == tuple(derivative_bands(g)[-1, 0:3])
+    # the three are the cathode slope's coefficients of u[n-3], u[n-2], u[n-1]
+    u = np.zeros(n)
+    for k, coef in zip((-3, -2, -1), row):
+        u[:] = 0.0
+        u[k] = 1.0
+        assert boundary_derivative(u, g, "cathode") == coef
 
 
 def test_dirichlet_solver_manufactured_convergence():
