@@ -216,10 +216,10 @@ def transversality_F(lam: float, u_dagger: ElectronSolution, w_sol: AdjointSolut
                      p: Parameters, grid: RadialGrid) -> float:
     """F = -gamma e^{lam/2} w(2) int r^2 {h' dH - h H/2} e^{-lam H/2} u dr
           - int r^2 w g'(lam dH) dH u dr
-          + w(2) {u(2) - 2 u'(2) - (lam/2) u(2)}.
+          + w(2) {u(2) - 2 u'(2) - (lam/2) u(2)},
 
-    Scale equivariant in u; nonzero F certifies the simple crossing of the
-    zero eigenvalue at the root."""
+    with u'(2) = 1, the slope solve_electron imposes.  Nonzero F certifies
+    the simple crossing of the zero eigenvalue at the root."""
     r = grid.r
     u = u_dagger.u
     w = w_sol.w
@@ -232,7 +232,7 @@ def transversality_F(lam: float, u_dagger: ElectronSolution, w_sol: AdjointSolut
         (townsend_h_prime(ell, p) * dH - townsend_h(ell, p) * 0.5 * H) * weight, u, grid)
     term2 = -weighted_inner(w * g_prime(ell, p) * dH, u, grid)
     u2 = u[-1]
-    term3 = w[-1] * (u2 - 2.0 * u_dagger.du_cathode - 0.5 * lam * u2)
+    term3 = w[-1] * (u2 - 2.0 - 0.5 * lam * u2)
     return float(term1 + term2 + term3)
 
 

@@ -4,19 +4,16 @@ Configuration is a flat JSON document with exactly the RunConfig keys;
 unknown keys are rejected so a typo cannot silently fall back to a
 default.  All outputs are deterministic for a fixed config: floats are
 written with repr (shortest round-trip decimal), files are UTF-8 and
-newline-terminated, and scan rows appear in axis order no matter which
-worker finishes first.
+newline-terminated, and scan rows are computed and written in axis order.
 
 Exit codes: 0 success, 1 solver/check failure, 2 sparking voltage not
-found, 64 usage error.
+found, 64 usage error (including an --out path that cannot be written).
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +65,11 @@ class RunConfig:
         if self.grid_n < MIN_NODES:
             raise UsageError(f"grid_n must be at least {MIN_NODES}, "
                              f"got {self.grid_n}")
-        for key in ("h_first", "h_min", "h_max", "newton_tol", "root_tol"):
+        if self.max_steps < 1:
+            raise UsageError(f"max_steps must be at least 1, "
+                             f"got {self.max_steps}")
+        for key in ("h_first", "h_min", "h_max", "newton_tol", "root_tol",
+                    "sup_density_cap", "lambda_cap", "field_floor", "loop_eps"):
             if not 0.0 < getattr(self, key) < np.inf:
                 raise UsageError(f"{key} must be positive and finite, "
                                  f"got {getattr(self, key)!r}")
@@ -126,8 +127,11 @@ def load_config(path: str) -> RunConfig:
 
 def _write_text(path: str, text: str):
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output {path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -222,20 +226,6 @@ def _scan_axis_row(cfg: RunConfig, p: Parameters):
         return float("nan"), float("nan"), float("nan")
 
 
-def _thread_count(rows: int) -> int:
-    env = os.environ.get("SPARK_BRANCH_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError("SPARK_BRANCH_THREADS must be an integer")
-        if cap < 1:
-            raise UsageError("SPARK_BRANCH_THREADS must be positive")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, rows))
-
-
 def cmd_scan(cfg: RunConfig, axis: str, lo: float, hi: float,
              count: int) -> int:
     if count < 1 or not (lo < hi or (lo == hi and count == 1)):
@@ -246,10 +236,9 @@ def cmd_scan(cfg: RunConfig, axis: str, lo: float, hi: float,
                   for v in values]
     except ValueError as exc:
         raise UsageError(f"scan over {axis}: {exc}")
-    with ThreadPoolExecutor(max_workers=_thread_count(count)) as pool:
-        rows = list(pool.map(lambda p: _scan_axis_row(cfg, p), params))
     lines = [f"{axis},lambda_dagger,abs_F,critical_gamma"]
-    for value, row in zip(values, rows):    # pool.map keeps axis order
+    for value, p in zip(values, params):
+        row = _scan_axis_row(cfg, p)
         lines.append(",".join(repr(float(v)) for v in (value, *row)))
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -374,12 +363,11 @@ def _validation_checks():
 def cmd_validate(cfg: RunConfig, list_only: bool = False) -> int:
     checks = _validation_checks()
     if list_only:
-        for name, _ in checks:
-            print(name)
+        _write_text(cfg.out, "".join(f"{name}\n" for name, _ in checks))
         return EXIT_OK
     ctx = {}
     failures = 0
-    print(f"{'check':32s} {'measured':>13s} {'bound':>13s}  status")
+    lines = [f"{'check':32s} {'measured':>13s} {'bound':>13s}  status"]
     for name, fn in checks:
         try:
             measured, bound = fn(cfg, ctx)
@@ -387,17 +375,16 @@ def cmd_validate(cfg: RunConfig, list_only: bool = False) -> int:
         except (NoSignChange, SolverFailure, BandedSolveError,
                 steady.NewtonError, np.linalg.LinAlgError, ValueError) as exc:
             # ValueError also covers steady.AdmissibilityError
-            measured, bound, ok = float("nan"), float("nan"), False
-            print(f"{name:32s} {'error':>13s} {'':>13s}  FAIL ({exc})")
+            lines.append(f"{name:32s} {'error':>13s} {'':>13s}  FAIL ({exc})")
             failures += 1
             continue
         status = "ok" if ok else "FAIL"
-        print(f"{name:32s} {measured:13.4e} {bound:13.4e}  {status}")
+        lines.append(f"{name:32s} {measured:13.4e} {bound:13.4e}  {status}")
         failures += 0 if ok else 1
     if failures:
-        print(f"{failures} check(s) failed")
-        return EXIT_FAILURE
-    return EXIT_OK
+        lines.append(f"{failures} check(s) failed")
+    _write_text(cfg.out, "\n".join(lines) + "\n")
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------- main

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (GridFunction, RadialGrid, BandedSolveError, boundary_derivative,
-                   integrate, node_dH, radial_laplacian_all_nodes,
-                   solve_sl_dirichlet, solve_sl_dirichlet_robin)
+from .grid import (GridFunction, RadialGrid, BandedSolveError, integrate,
+                   node_dH, radial_laplacian_all_nodes, solve_sl_dirichlet_robin)
 from .model import Parameters, g_fn, g_prime
 
 LAMBDA_SCAN_MIN = 1e-2
@@ -57,11 +56,9 @@ class SolverFailure(RuntimeError):
 @dataclass
 class ElectronSolution:
     lam: float
-    u: GridFunction
-    du_cathode: float        # cathode slope in the sense of the imposed row
+    u: GridFunction          # normalized by the imposed slope u'(2) = 1
     B_value: float
     positive: bool
-    normalization: str       # "slope" or "value": the imposed cathode row
 
 
 @dataclass
@@ -86,94 +83,82 @@ def emission_kernel(lam: float, grid: RadialGrid, p: Parameters) -> np.ndarray:
     return p.a * (0.5 * lam) * np.exp(exponent)
 
 
-def solve_electron(lam: float, p: Parameters, grid: RadialGrid,
-                   normalization: str = "slope") -> ElectronSolution:
+def solve_electron(lam: float, p: Parameters, grid: RadialGrid) -> ElectronSolution:
     """Tridiagonal collocation solve of the electron system.
 
-    normalization="slope" imposes u'(2)=1 through the one-sided stencil row
-    (the default); "value" imposes u(2)=1 instead.  Both give the same
-    one-dimensional solution family up to a positive factor, so the root of
-    B does not depend on the choice.  u(1) = 0, and u(2) = 1 for "value",
-    hold exactly.
+    u(1) = 0 holds exactly and u'(2) = 1 is imposed through the one-sided
+    stencil row.  The problem is linear, so this fixes the scale of the one
+    solution family; the root of B does not depend on the scale.
     """
-    if normalization not in ("slope", "value"):
-        raise ValueError("normalization must be 'slope' or 'value'")
     q = g_fn(lam * node_dH(grid), p)
-    u = _solve_rows(lam, grid, q, 0.0, 1.0, normalization)
-    du = 1.0 if normalization == "slope" else boundary_derivative(u, grid, "cathode")
-    sol = ElectronSolution(lam=lam, u=u, du_cathode=du, B_value=np.nan,
-                           positive=bool(np.all(u[1:] > 0.0)),
-                           normalization=normalization)
+    u = _solve_rows(lam, grid, q, 0.0, 1.0)
+    sol = ElectronSolution(lam=lam, u=u, B_value=np.nan,
+                           positive=bool(np.all(u[1:] > 0.0)))
     sol.B_value = boundary_B(sol, p, grid)
     return sol
 
 
-def _solve_rows(lam, grid, q, f, cathode_data, normalization):
-    """The electron rows with interior forcing f and the cathode row of the
-    normalization (slope or value) set to cathode_data."""
+def _solve_rows(lam, grid, q, f, cathode_slope):
+    """The electron rows with interior forcing f and the cathode slope row
+    set to cathode_slope."""
     try:
-        if normalization == "slope":
-            return solve_sl_dirichlet_robin(grid, q, f, cathode_data)
-        return solve_sl_dirichlet(grid, q, f, cathode_data)
+        return solve_sl_dirichlet_robin(grid, q, f, cathode_slope)
     except BandedSolveError as exc:
         raise SolverFailure(f"electron solve failed at lambda={lam}: {exc}") from exc
 
 
 def dB_dlambda(sol: ElectronSolution, p: Parameters, grid: RadialGrid) -> float:
     """Exact lambda-derivative of the discrete B along the solve_electron
-    profiles normalized like sol: B_lambda = u_lambda'(2) + u(2)/4
-    + (lambda/4) u_lambda(2) - gamma int (p_lambda u + p u_lambda) dr, with
-    p_lambda = p (1/lambda - 1/2 + 1/r + b r^2/(2 lambda^2)).  u_lambda solves
-    the rows of u with interior forcing g'(lambda H') H' u and zero data in
-    both boundary rows: one more tridiagonal solve."""
+    profiles: B_lambda = u_lambda'(2) + u(2)/4 + (lambda/4) u_lambda(2)
+    - gamma int (p_lambda u + p u_lambda) dr, with p_lambda = p (1/lambda
+    - 1/2 + 1/r + b r^2/(2 lambda^2)).  u_lambda solves the rows of u with
+    interior forcing g'(lambda H') H' u and zero data in both boundary
+    rows, so u_lambda'(2) = 0: one more tridiagonal solve."""
     lam, u = sol.lam, sol.u
     dH = node_dH(grid)
     q = g_fn(lam * dH, p)
-    u_lam = _solve_rows(lam, grid, q, g_prime(lam * dH, p) * dH * u, 0.0,
-                        sol.normalization)
-    du_lam = 0.0 if sol.normalization == "slope" else \
-        boundary_derivative(u_lam, grid, "cathode")
+    u_lam = _solve_rows(lam, grid, q, g_prime(lam * dH, p) * dH * u, 0.0)
     r = grid.r
     kern = emission_kernel(lam, grid, p)
     dkern = kern * (1.0 / lam - 0.5 + 1.0 / r + p.b * r ** 2 / (2.0 * lam ** 2))
-    return float(du_lam + 0.25 * u[-1] + 0.25 * lam * u_lam[-1]
+    return float(0.25 * u[-1] + 0.25 * lam * u_lam[-1]
                  - p.gamma * integrate(dkern * u + kern * u_lam, grid))
 
 
 def boundary_functional(lam: float, u: GridFunction, p: Parameters, grid: RadialGrid,
-                        du_cathode: float | None = None) -> float:
+                        cathode_slope: float | None = None) -> float:
     """B(lambda, u) for an arbitrary grid function.
 
-    du_cathode overrides the cathode slope; by default it is read from a
+    cathode_slope overrides u'(2); by default it is read from a
     third-order one-sided stencil.  The extra order matters only here:
     the derivative enters B bare, not through a solve, so a second-order
     stencil would cap the whole functional at 0.25*delta^2 accuracy.
-    Solutions produced by solve_electron carry their imposed slope and
+    Solutions produced by solve_electron have the imposed slope 1 and
     should be evaluated through boundary_B.
     """
-    if du_cathode is None:
+    if cathode_slope is None:
         d = grid.delta
-        du_cathode = (11.0 * u[-1] - 18.0 * u[-2] + 9.0 * u[-3]
-                      - 2.0 * u[-4]) / (6.0 * d)
+        cathode_slope = (11.0 * u[-1] - 18.0 * u[-2] + 9.0 * u[-3]
+                         - 2.0 * u[-4]) / (6.0 * d)
     kern = emission_kernel(lam, grid, p)
-    return du_cathode + 0.25 * lam * float(u[-1]) - p.gamma * integrate(kern * u, grid)
+    return cathode_slope + 0.25 * lam * float(u[-1]) - p.gamma * integrate(kern * u, grid)
 
 
 def boundary_B(sol: ElectronSolution, p: Parameters, grid: RadialGrid) -> float:
-    """B(lambda, u) with u'(2) read from the solution's imposed row."""
-    return boundary_functional(sol.lam, sol.u, p, grid, du_cathode=sol.du_cathode)
+    """B(lambda, u) with the imposed slope u'(2) = 1."""
+    return boundary_functional(sol.lam, sol.u, p, grid, cathode_slope=1.0)
 
 
 def critical_gamma(lam: float, p: Parameters, grid: RadialGrid) -> float:
     """The emission yield that would make B vanish at this voltage:
-    gamma_c = (u'(2) + (lambda/4) u(2)) / int p u dr.  Scale invariant."""
+    gamma_c = (u'(2) + (lambda/4) u(2)) / int p u dr, with u'(2) = 1."""
     sol = solve_electron(lam, p, grid)
     kern = emission_kernel(lam, grid, p)
     denom = integrate(kern * sol.u, grid)
     if denom <= 0.0:
         raise SolverFailure(f"critical gamma undefined at lambda={lam}: "
                             f"nonpositive emission integral {denom:.3e}")
-    return (sol.du_cathode + 0.25 * lam * sol.u[-1]) / denom
+    return (1.0 + 0.25 * lam * sol.u[-1]) / denom
 
 
 def _scan_schedule(lambda_max: float) -> np.ndarray:
@@ -214,19 +199,18 @@ def _safeguarded_newton(solve, slope, lo, hi, flo, fhi, ftol, max_iter=200):
 
 def sparking_voltage(p: Parameters, grid: RadialGrid,
                      lambda_max: float = LAMBDA_MAX_DEFAULT,
-                     tol: float = ROOT_TOL_DEFAULT,
-                     normalization: str = "slope") -> SparkingResult:
+                     tol: float = ROOT_TOL_DEFAULT) -> SparkingResult:
     """Locate the smallest voltage where B crosses zero from above.
 
     Scans 64 geometric points on [1e-2, 1] then uniform 0.25 steps up to
     lambda_max, stops at the first positive-to-negative change of B, then
     refines the bracket by safeguarded Newton until |B| <= tol.  Raises
     NoSignChange when B stays positive on the whole schedule.  Each voltage
-    is solved once: the returned profile is the solve that produced the
-    root's B.
+    is solved once by solve_electron, so every profile has u'(2) = 1: the
+    returned profile is the solve that produced the root's B.
     """
     def solve(lam):
-        return solve_electron(lam, p, grid, normalization)
+        return solve_electron(lam, p, grid)
 
     schedule = _scan_schedule(lambda_max)
 

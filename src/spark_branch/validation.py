@@ -158,18 +158,19 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
     the weighted guess direction and L(lam) the steady Jacobian at the
     trivial state (steady.trivial_linearization), so the pair is a
     singular point of the very matrix the branch corrector factors.  The
-    lambda derivative of L is taken by central differences, which only
-    affects the iteration path, not the root.  Returns (lam_star, phi)
+    lambda column (dL/dlam) phi is exactly dresidual_dlambda at (lam,
+    phi_i, phi_e, 0): where V = 0 the residual is linear in (rho_i, R_e),
+    and the V columns of L do not depend on lam.  Returns (lam_star, phi)
     with phi normalized to unit weighted norm.
     """
-    from .steady import BandLU, pack_weights, trivial_linearization
+    from .steady import (BandLU, dresidual_dlambda, pack_weights,
+                         trivial_linearization, unpack)
 
     pw = pack_weights(grid)
     c = pw * direction_guess
     c /= np.dot(c, direction_guess)
     phi = direction_guess.copy()
     lam = float(lam_guess)
-    dlam_fd = 1e-6
     # rounding floor of ||L phi||: matrix entries scale like 1/delta^2
     tol = max(tol, 200.0 * np.finfo(float).eps / grid.delta ** 2)
     for _ in range(max_iter):
@@ -178,9 +179,9 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
         nrm = np.linalg.norm(res)
         if nrm <= tol:
             break
-        Lp = trivial_linearization(lam + dlam_fd, p, grid)
-        Lm = trivial_linearization(lam - dlam_fd, p, grid)
-        col = (Lp @ phi - Lm @ phi) / (2.0 * dlam_fd)
+        state = unpack(lam, phi, grid)
+        state.V[:] = 0.0
+        col = dresidual_dlambda(state, p, grid)
         step = BandLU(L, grid, col, c).solve(-res)
         phi = phi + step[:-1]
         lam += float(step[-1])

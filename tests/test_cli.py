@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +89,36 @@ def test_load_config_rejects_bad_steps_and_tolerances(tmp_path, payload,
     path = _write_config(tmp_path, grid_n=65, **payload)
     with pytest.raises(UsageError, match=fragment):
         load_config(path)
+
+
+_BAD_LIMITS = [
+    ({"max_steps": -1}, "max_steps must be at least 1"),
+    ({"max_steps": 0}, "max_steps must be at least 1"),
+    ({"lambda_cap": -1.0}, "lambda_cap must be positive and finite"),
+    ({"lambda_cap": float("inf")}, "lambda_cap must be positive and finite"),
+    ({"sup_density_cap": -5.0}, "sup_density_cap must be positive and finite"),
+    ({"field_floor": 0.0}, "field_floor must be positive and finite"),
+    ({"field_floor": float("nan")}, "field_floor must be positive and finite"),
+    ({"loop_eps": -1.0}, "loop_eps must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("payload,fragment", _BAD_LIMITS)
+def test_load_config_rejects_out_of_range_limits(tmp_path, payload, fragment):
+    path = _write_config(tmp_path, grid_n=65, **payload)
+    with pytest.raises(UsageError, match=fragment):
+        load_config(path)
+
+
+@pytest.mark.parametrize("payload,fragment", _BAD_LIMITS)
+def test_out_of_range_limit_exits_64_without_output(tmp_path, capsys,
+                                                    payload, fragment):
+    path = _write_config(tmp_path, grid_n=65, **payload)
+    out = tmp_path / "branch.csv"
+    assert cli.main(["branch", "--config", path, "--out", str(out)]) \
+        == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_accepts_loose_root_tol(tmp_path):
@@ -339,19 +370,23 @@ def test_scan_invalid_parameter_exits_64_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_scan_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARK_BRANCH_THREADS", "1")
+def test_scan_runs_rows_in_order_in_calling_thread(tmp_path, monkeypatch):
+    seen = []
+    original = cli._scan_axis_row
+
+    def recording(cfg, p):
+        seen.append((threading.get_ident(), p.a))
+        return original(cfg, p)
+
+    monkeypatch.setattr(cli, "_scan_axis_row", recording)
     out = tmp_path / "scan.csv"
     rc = cli.main(["scan", "--grid-n", "65", "--axis", "a",
-                   "--range", "2.0", "2.0", "--count", "1",
+                   "--range", "2.0", "3.0", "--count", "3",
                    "--out", str(out)])
     assert rc == EXIT_OK
-    monkeypatch.setenv("SPARK_BRANCH_THREADS", "zero")
-    assert cli.main(["scan", "--grid-n", "65", "--axis", "a",
-                     "--range", "2.0", "3.0", "--count", "2"]) == EXIT_USAGE
-    monkeypatch.setenv("SPARK_BRANCH_THREADS", "0")
-    assert cli.main(["scan", "--grid-n", "65", "--axis", "a",
-                     "--range", "2.0", "3.0", "--count", "2"]) == EXIT_USAGE
+    assert seen == [(threading.get_ident(), a) for a in (2.0, 2.5, 3.0)]
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [2.0, 2.5, 3.0]
 
 
 # ------------------------------------------------------------- validate
@@ -390,3 +425,42 @@ def test_validate_bug_propagates_instead_of_failed_check(monkeypatch, capsys):
     with pytest.raises(TypeError, match="not a solver failure"):
         cli.main(["validate", "--grid-n", "65"])
     assert "FAIL" not in capsys.readouterr().out
+
+
+# ------------------------------------------------------------- output paths
+
+_COMMANDS = [
+    ["spark", "--grid-n", "65"],
+    ["branch", "--grid-n", "65"],
+    ["scan", "--grid-n", "65", "--axis", "gamma", "--range", "1.0", "1.0",
+     "--count", "1"],
+    ["validate", "--grid-n", "65"],
+    ["validate", "--list"],
+]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=["spark", "branch", "scan",
+                                                  "validate", "validate-list"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_exits_64_without_traceback(tmp_path, capsys, argv,
+                                                   where):
+    target = tmp_path / "missing" / "x.out" if where == "missing_dir" \
+        else tmp_path
+    cfg = _write_config(tmp_path, "cfg.json", max_steps=2)
+    assert cli.main(argv + ["--config", cfg, "--out", str(target)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot write output {target}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_validate_out_writes_the_printed_table(tmp_path, capsys):
+    # n = 65 is too coarse for two bounds, so the table also has FAIL lines
+    code = cli.main(["validate", "--grid-n", "65"])
+    printed = capsys.readouterr().out
+    out = tmp_path / "validate.txt"
+    assert cli.main(["validate", "--grid-n", "65", "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    assert len(printed.splitlines()) >= 13

@@ -55,20 +55,6 @@ def test_scanned_profiles_stay_positive(key, cache):
     assert np.all(sp.u_dagger.u[1:] > 0.0)
 
 
-def test_normalization_choice_does_not_move_the_root(cache):
-    p = PARAMS["(2,3,1)"]
-    g = cache.grid(129)
-    lam = cache.spark("(2,3,1)", 129).lambda_dagger
-    a = solve_electron(lam, p, g, normalization="slope")
-    b = solve_electron(lam, p, g, normalization="value")
-    # same one-dimensional family: profiles proportional, B roots shared
-    scale = a.u[-1] / b.u[-1]
-    assert np.allclose(a.u, scale * b.u, atol=1e-9)
-    assert abs(boundary_B(b, p, g)) <= 1e-9 * abs(scale)
-    with pytest.raises(ValueError):
-        solve_electron(lam, p, g, normalization="mass")
-
-
 def test_boundary_functional_zero_voltage_harmonic():
     # B(0, 2 - 2/r) = 1/2: the gamma term integrates the kernel against the
     # harmonic profile and the slope term contributes H'(2) = 1/2
@@ -134,16 +120,17 @@ def test_sparking_voltage_refines_in_few_solves(key, n, cache, monkeypatch):
                                              abs=1e-9)
 
 
-@pytest.mark.parametrize("normalization", ["slope", "value"])
-@pytest.mark.parametrize("key", sorted(PARAMS))
-def test_dB_dlambda_matches_central_differences(key, normalization, cache):
+# "slope": the profiles carry the imposed cathode slope u'(2) = 1
+@pytest.mark.parametrize("key", sorted(PARAMS),
+                         ids=[f"{key}-slope" for key in sorted(PARAMS)])
+def test_dB_dlambda_matches_central_differences(key, cache):
     p = PARAMS[key]
     g = cache.grid(257)
     for lam in (cache.spark(key, 257).lambda_dagger, 1.0, 20.0):
         h = 1e-5 * lam
-        fd = (solve_electron(lam + h, p, g, normalization).B_value
-              - solve_electron(lam - h, p, g, normalization).B_value) / (2.0 * h)
-        exact = dB_dlambda(solve_electron(lam, p, g, normalization), p, g)
+        fd = (solve_electron(lam + h, p, g).B_value
+              - solve_electron(lam - h, p, g).B_value) / (2.0 * h)
+        exact = dB_dlambda(solve_electron(lam, p, g), p, g)
         assert abs(exact - fd) <= 1e-6 * abs(exact)
 
 

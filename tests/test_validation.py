@@ -7,7 +7,8 @@ from conftest import PARAMS
 from spark_branch.grid import RadialGrid
 from spark_branch.electron import auxiliary_U, solve_electron
 from spark_branch.adjoint import nullspace_triple
-from spark_branch.steady import State, pack, pack_weights
+from spark_branch.steady import (State, dresidual_dlambda, pack, pack_weights,
+                                 trivial_linearization, unpack)
 from spark_branch.validation import (shoot_linear_robin, shoot_electron,
                                      shoot_adjoint_w, fd_jacobian, richardson,
                                      convergence_orders,
@@ -56,8 +57,6 @@ def test_convergence_orders_basic():
 
 
 def test_fd_jacobian_lambda_column(cache):
-    from spark_branch.steady import dresidual_dlambda
-
     g = RadialGrid(65)
     r = g.r
     st = State(2.0, 0.05 * (r - 1) * (2 - r), 0.04 * (r - 1) * np.exp(-r),
@@ -83,6 +82,55 @@ def test_discrete_bifurcation_pair_properties(cache):
     # the pair voltage approaches the scanned root at first order: the
     # offset is the upwind flavor gap and halves with delta
     assert offsets[129] / offsets[257] == pytest.approx(2.0, abs=0.4)
+
+
+@pytest.mark.parametrize("n", [65, 257])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_pair_lambda_column_is_derivative_of_trivial_linearization(key, n,
+                                                                    cache):
+    # the pair's exact lambda column: dresidual_dlambda at (lam, phi_i,
+    # phi_e, 0) is (d/dlam L) phi for every phi, also with a nonzero V block
+    p, g = PARAMS[key], cache.grid(n)
+    rng = np.random.default_rng(n)
+    for lam in (1.0, cache.spark(key, n).lambda_dagger, 20.0):
+        phi = rng.standard_normal(3 * n - 4)
+        state = unpack(lam, phi, g)
+        state.V[:] = 0.0
+        col = dresidual_dlambda(state, p, g)
+        h = 1e-5 * lam
+        fd = (trivial_linearization(lam + h, p, g) @ phi
+              - trivial_linearization(lam - h, p, g) @ phi) / (2.0 * h)
+        assert np.max(np.abs(col - fd)) <= 1e-7 * np.max(np.abs(col))
+
+
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_discrete_bifurcation_pair_assembles_once_per_iteration(key, n, cache,
+                                                                monkeypatch):
+    from spark_branch import steady
+
+    calls = {"L": 0, "lu": 0}
+    assemble, factor = steady.trivial_linearization, steady.BandLU
+
+    def counting_assemble(*args):
+        calls["L"] += 1
+        return assemble(*args)
+
+    def counting_factor(*args):
+        calls["lu"] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(steady, "trivial_linearization", counting_assemble)
+    monkeypatch.setattr(steady, "BandLU", counting_factor)
+    g = cache.grid(n)
+    lam = cache.spark(key, n).lambda_dagger
+    tri = cache.triple(key, n)
+    guess = pack(State(lam, tri.phi_i, tri.phi_e, tri.phi_v))
+    discrete_bifurcation_pair(lam, guess, PARAMS[key], g)
+    # one factorization per Newton iteration, one assembly per iteration
+    # plus the final residual check
+    assert calls["lu"] >= 1
+    assert calls["L"] == calls["lu"] + 1
 
 
 def test_discrete_bifurcation_pair_nullvector_quality(cache):
