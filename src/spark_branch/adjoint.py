@@ -100,7 +100,9 @@ def nullspace_triple(lam: float, u_dagger: ElectronSolution, p: Parameters,
 # rows: transport at 1..n-1, electron at 1..n-2, potential at 1..n-2, and the
 # scalar cathode-emission row.  Square of size 3n-4 with 13n-21 nonzeros,
 # assembled as a canonical scipy.sparse CSR matrix; nullspace_residual
-# applies it as a sparse product and only svd_probe densifies it (n <= 257).
+# applies it as a sparse product.  In the steady Jacobian's node
+# interleaving it has 6 sub- and 4 superdiagonals, inside the Jacobian's
+# band layout, so svd_probe factors it with steady.BandLU.
 # ---------------------------------------------------------------------------
 
 def _trivial_coefficients(lam, p, grid):
@@ -198,14 +200,17 @@ def nullspace_residual(lam: float, triple: NullTriple, p: Parameters,
 
 
 def svd_probe(lam: float, p: Parameters, grid: RadialGrid) -> tuple:
-    """Two smallest singular values of the reduced linearization.
+    """Two smallest singular values of the reduced linearization, from
+    its band LU (steady.smallest_singular): s1 by inverse iteration,
+    then s2 by the same iteration deflated through the border
+    (u1, v1): O(n) work and memory on any grid."""
+    from .steady import BandLU, smallest_singular
 
-    The only place the sparse matrix is densified: a full SVD of the
-    (3n-4)^2 array, so the probe is limited to n <= 257."""
-    if grid.n > 257:
-        raise ValueError("dense SVD probe is limited to n <= 257")
-    sigma = np.linalg.svd(linearized_matrix(lam, p, grid).toarray(), compute_uv=False)
-    return float(sigma[-1]), float(sigma[-2])
+    A = linearized_matrix(lam, p, grid)
+    lu = BandLU(A, grid)
+    s1, u1, v1 = smallest_singular(lu)
+    s2 = smallest_singular(lu, BandLU(A, grid, u1, v1, 0.0))[0]
+    return float(s1), float(s2)
 
 
 # ---------------------------------------------------------------------------

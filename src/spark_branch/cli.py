@@ -7,12 +7,14 @@ written with repr (shortest round-trip decimal), files are UTF-8 and
 newline-terminated, and scan rows are computed and written in axis order.
 
 Exit codes: 0 success, 1 solver/check failure, 2 sparking voltage not
-found, 64 usage error (including an --out path that cannot be written).
+found, 64 usage error (including an --out path that cannot be written,
+which is checked before any work).
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +35,10 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_NO_SPARK = 2
 EXIT_USAGE = 64
+
+# validate's adjoint identity uses smooth test functions that 33 nodes do
+# not resolve (about 300-490 delta^2 there, at most 13.4 delta^2 from 65 on)
+VALIDATE_MIN_NODES = 65
 
 
 class UsageError(Exception):
@@ -123,6 +129,23 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise UsageError(str(exc))
     return cfg
+
+
+def _check_writable(path: str):
+    """Raise UsageError unless path can be opened for writing, without
+    creating or truncating it; run before any work."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = "no such directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write output {path}: {reason}")
 
 
 def _write_text(path: str, text: str):
@@ -267,7 +290,7 @@ def _validation_checks():
     def boundary_b_zero_voltage(cfg, ctx):
         p, grid = cfg.parameters(), cfg.grid()
         b = boundary_functional(0.0, harmonic_H(grid.r), p, grid)
-        return abs(b - 0.5), 1e-6
+        return abs(b - 0.5), grid.delta ** 3   # third order, about 0.41 delta^3
 
     def gamma_region_g_negative(cfg, ctx):
         p = cfg.parameters()
@@ -316,7 +339,7 @@ def _validation_checks():
         p, grid = cfg.parameters(), cfg.grid()
         spark = ctx_spark(cfg, ctx)
         worst = adjoint_identity_check(spark.lambda_dagger, p, grid)
-        return worst, 1e-3
+        return worst, 16.0 * grid.delta ** 2
 
     def jacobian_fd(cfg, ctx):
         from .validation import fd_jacobian
@@ -365,6 +388,9 @@ def cmd_validate(cfg: RunConfig, list_only: bool = False) -> int:
     if list_only:
         _write_text(cfg.out, "".join(f"{name}\n" for name, _ in checks))
         return EXIT_OK
+    if cfg.grid_n < VALIDATE_MIN_NODES:
+        raise UsageError(f"validate needs grid_n >= {VALIDATE_MIN_NODES}, "
+                         f"got {cfg.grid_n}")
     ctx = {}
     failures = 0
     lines = [f"{'check':32s} {'measured':>13s} {'bound':>13s}  status"]
@@ -424,6 +450,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, out=args.out)
         if args.grid_n is not None:
             cfg = dataclasses.replace(cfg, grid_n=args.grid_n)
+        _check_writable(cfg.out)
         if args.command == "spark":
             return cmd_spark(cfg)
         if args.command == "branch":

@@ -43,7 +43,9 @@ with dgbtrf and solves with dgbtrs.  The bordered systems
 tangent and the discrete bifurcation pair are solved by block
 elimination (bordering) on that one LU, followed by one step of
 refinement against the exact bordered product, which restores full
-accuracy where J itself is singular.
+accuracy where J itself is singular.  smallest_singular runs inverse
+iteration on such an LU, for the continuation's opt-in sigma_min and
+for adjoint.svd_probe.
 """
 
 from dataclasses import dataclass
@@ -64,6 +66,8 @@ ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 2.0 ** -20
 FIELD_FLOOR = 1e-6
+SIGMA_TOL = 1e-14       # smallest_singular's residual bound relative to |A|_inf
+SIGMA_MAX_ITER = 200
 
 
 @dataclass
@@ -421,8 +425,9 @@ class BandLU:
     pattern (a subset of it, as after eliminate_zeros, is fine).
 
     det_sign, the sign of det of the (bordered) matrix, is computed only
-    when read.  A zero pivot, a zero or non-finite Schur scalar and a
-    non-finite solution raise numpy.linalg.LinAlgError."""
+    when read; size is its order.  A zero pivot, a zero or non-finite
+    Schur scalar and a non-finite solution raise
+    numpy.linalg.LinAlgError."""
 
     def __init__(self, J: scipy.sparse.csr_matrix, grid: RadialGrid,
                  col: np.ndarray = None, row: np.ndarray = None,
@@ -440,6 +445,7 @@ class BandLU:
         self._lay = lay
         self._J = J
         self._border = None
+        self.size = m + (col is not None)
         if col is not None:
             y = self._band_solve(col, 0)
             schur = corner - np.dot(row, y)
@@ -508,6 +514,63 @@ class BandLU:
         if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError("non-finite solution")
         return x
+
+    def norm_inf(self) -> float:
+        """Infinity norm (largest absolute row sum) of the (bordered)
+        matrix."""
+        rows = abs(self._J) @ np.ones(self._J.shape[1])
+        if self._border is None:
+            return float(rows.max())
+        col, row, corner, _ = self._border
+        return float(max((rows + np.abs(col)).max(),
+                         np.abs(row).sum() + abs(corner)))
+
+
+def smallest_singular(lu: BandLU, deflated: BandLU = None):
+    """Smallest singular triple (s, u, v), A v = s u and A^T u = s v, of
+    the (bordered) matrix A that lu factors, by inverse iteration
+    x <- A^{-1} A^{-T} x.
+
+    Each step takes u from the transposed solve and v from the plain one,
+    so A v = s u holds to rounding however small s is.  The start vector
+    is fixed (seed 7), so results are bit-reproducible.  The iteration
+    stops once max(|A v - s u|, |A^T u - s v|) <= SIGMA_TOL |A|_inf,
+    with the products taken exactly (BandLU._product).  The solves are
+    refined: near departure J itself is nearly singular, and block
+    elimination alone leaves the residual of a bordered solve above that
+    bound.
+
+    With deflated, a BandLU of [[A, u1], [v1^T, 0]] for a singular triple
+    (s1, u1, v1) of the unbordered A, it returns the next singular triple
+    instead.  That matrix stays nonsingular when s1 is simple, and its
+    solves, padded with a zero and truncated, are A^+ on the complement
+    of u1 and A^{+T} on that of v1.
+
+    Raises numpy.linalg.LinAlgError when a solve fails or the stop test
+    is not met within SIGMA_MAX_ITER steps."""
+    if deflated is None:
+        step = lu.solve
+    else:
+        def step(b, trans):
+            return deflated.solve(np.append(b, 0.0), trans)[:-1]
+    bound = SIGMA_TOL * lu.norm_inf()
+    v = np.random.default_rng(7).standard_normal(lu.size)
+    v /= np.linalg.norm(v)
+    for _ in range(SIGMA_MAX_ITER):
+        u = step(v, True)
+        u /= np.linalg.norm(u)
+        v = step(u, False)
+        s = 1.0 / np.linalg.norm(v)
+        v *= s
+        if not np.isfinite(s) or s == 0.0:
+            raise np.linalg.LinAlgError(f"inverse iteration broke down (s={s})")
+        res = max(np.linalg.norm(lu._product(v, 0) - s * u),
+                  np.linalg.norm(lu._product(u, 1) - s * v))
+        if res <= bound:
+            return s, u, v
+    raise np.linalg.LinAlgError(
+        f"inverse iteration not converged in {SIGMA_MAX_ITER} steps "
+        f"(residual {res:.3e} against {bound:.3e})")
 
 
 def dresidual_dlambda(state: State, p: Parameters, grid: RadialGrid) -> np.ndarray:

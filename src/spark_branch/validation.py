@@ -161,10 +161,12 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
     lambda column (dL/dlam) phi is exactly dresidual_dlambda at (lam,
     phi_i, phi_e, 0): where V = 0 the residual is linear in (rho_i, R_e),
     and the V columns of L do not depend on lam.  Returns (lam_star, phi)
-    with phi normalized to unit weighted norm.
+    with phi normalized to unit weighted norm.  Raises
+    steady.MaxIterExceeded, carrying the last iterate (lam, phi) as a
+    State and the residual norm, when max_iter steps do not converge.
     """
-    from .steady import (BandLU, dresidual_dlambda, pack_weights,
-                         trivial_linearization, unpack)
+    from .steady import (BandLU, MaxIterExceeded, dresidual_dlambda,
+                         pack_weights, trivial_linearization, unpack)
 
     pw = pack_weights(grid)
     c = pw * direction_guess
@@ -186,6 +188,8 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
         phi = phi + step[:-1]
         lam += float(step[-1])
     else:
-        raise RuntimeError(f"bifurcation-pair Newton stalled at |res|={nrm:.3e}")
+        raise MaxIterExceeded(
+            f"bifurcation-pair Newton not converged in {max_iter} steps",
+            unpack(lam, phi, grid), float(nrm))
     phi = phi / np.sqrt(np.dot(pw * phi, phi))
     return lam, phi

@@ -376,6 +376,8 @@ class SuperLUBordered:
             self._lu = scipy.sparse.linalg.splu(A)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
+        self._A = A
+        self.size = A.shape[0]
 
     @property
     def det_sign(self):
@@ -388,6 +390,12 @@ class SuperLUBordered:
         if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError("non-finite solution")
         return x
+
+    def _product(self, x, trans):
+        return (self._A.T if trans else self._A) @ x
+
+    def norm_inf(self):
+        return float(abs(self._A).sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +476,17 @@ def linearized_matrix_reference(lam, p, grid):
     A[row, oe + n - 2] += 3.0 / (2 * d) + 0.25 * lam
     A[row, oi + n - 2] += -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam)
     return A
+
+
+def svd_probe_reference(lam, p, grid):
+    """Two smallest singular values of adjoint.linearized_matrix from a
+    full dense SVD of the (3n-4)^2 array, the reference for the
+    package's band-LU inverse iteration (adjoint.svd_probe)."""
+    from spark_branch.adjoint import linearized_matrix
+
+    sigma = np.linalg.svd(linearized_matrix(lam, p, grid).toarray(),
+                          compute_uv=False)
+    return float(sigma[-1]), float(sigma[-2])
 
 
 def main():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CONTINUUM, PARAMS, LAMBDA_REF_231
+from oracles import svd_probe_reference
 from spark_branch.electron import solve_electron
 from spark_branch.adjoint import (solve_adjoint_w, adjoint_forcing,
                                   nullspace_triple, nullspace_residual,
@@ -64,9 +65,31 @@ def test_linearization_has_simple_kernel(key, cache):
     assert s2 >= 0.01
 
 
-def test_svd_probe_rejects_large_grids(cache):
-    with pytest.raises(ValueError):
-        svd_probe(3.574, PARAMS["(2,3,1)"], cache.grid(513))
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_svd_probe_matches_dense_reference(key, n, cache):
+    # band-LU inverse iteration against a full dense SVD; s1 sits at the
+    # rounding floor on both routes (measured <= 5.3e-12)
+    g = cache.grid(n)
+    lam = cache.spark(key, n).lambda_dagger
+    s1, s2 = svd_probe(lam, PARAMS[key], g)
+    ref1, ref2 = svd_probe_reference(lam, PARAMS[key], g)
+    assert abs(s2 - ref2) <= 1e-10 * ref2
+    assert max(s1, ref1) <= 1e-10
+
+
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_svd_probe_on_fine_grids(key, cache):
+    # no grid cap: s1 stays within the truncation budget, and s2 converges
+    # in n at first order (its successive differences about halve)
+    s2 = []
+    for n in (513, 1025, 2049, 4097):
+        g = cache.grid(n)
+        s1, s = svd_probe(cache.spark(key, n).lambda_dagger, PARAMS[key], g)
+        assert s1 <= 5.0 * g.delta ** 2
+        s2.append(s)
+    diffs = np.abs(np.diff(s2))
+    assert np.all(diffs[:-1] / diffs[1:] >= 1.8)
 
 
 @pytest.mark.parametrize("key", sorted(PARAMS))

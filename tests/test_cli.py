@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import PARAMS
 from spark_branch import cli
 from spark_branch.continuation import (DEFAULT_LIMITS, H_FIRST, H_MAX, H_MIN,
                                        trace_branch)
@@ -406,6 +407,25 @@ def test_validate_all_green_at_n129(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("n", [65, 129, 257])
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_validate_green_on_frozen_sets(tmp_path, capsys, key, n):
+    # the grid-aware bounds (delta^3, 16 delta^2) pass a healthy model on
+    # every grid validate accepts
+    p = PARAMS[key]
+    path = _write_config(tmp_path, a=p.a, b=p.b, gamma=p.gamma, grid_n=n)
+    assert cli.main(["validate", "--config", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count(" ok") == 12 and "FAIL" not in out
+
+
+def test_validate_refuses_unresolved_grid(capsys):
+    assert cli.main(["validate", "--grid-n", "33"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"validate needs grid_n >= {cli.VALIDATE_MIN_NODES}" in captured.err
+    assert captured.out == ""
+
+
 def test_validate_flags_broken_tolerance(tmp_path, capsys):
     # an absurd root tolerance must surface as a named failing check
     path = _write_config(tmp_path, root_tol=10.0, grid_n=129)
@@ -455,8 +475,37 @@ def test_unwritable_out_exits_64_without_traceback(tmp_path, capsys, argv,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", _COMMANDS[:4], ids=["spark", "branch",
+                                                      "scan", "validate"])
+def test_unwritable_out_is_reported_before_any_solve(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sparking_voltage(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sparking_voltage", counting)
+    monkeypatch.setattr(cli.continuation, "sparking_voltage", counting)
+    target = tmp_path / "missing" / "x.out"
+    assert cli.main(argv + ["--out", str(target)]) == EXIT_USAGE
+    assert f"cannot write output {target}" in capsys.readouterr().err
+    assert len(calls) == 0
+
+
+def test_out_probe_neither_creates_nor_truncates(tmp_path, capsys):
+    # validate --grid-n 33 is a usage error found after the --out probe
+    fresh = tmp_path / "fresh.txt"
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n", encoding="utf-8")
+    for target in (fresh, kept):
+        assert cli.main(["validate", "--grid-n", "33", "--out",
+                         str(target)]) == EXIT_USAGE
+    assert not fresh.exists()
+    assert kept.read_text(encoding="utf-8") == "earlier output\n"
+
+
 def test_validate_out_writes_the_printed_table(tmp_path, capsys):
-    # n = 65 is too coarse for two bounds, so the table also has FAIL lines
     code = cli.main(["validate", "--grid-n", "65"])
     printed = capsys.readouterr().out
     out = tmp_path / "validate.txt"

@@ -146,3 +146,22 @@ def test_discrete_bifurcation_pair_nullvector_quality(cache):
     L = jacobian(trivial_state(lam_star, g), P1, g)
     tol = max(1e-9, 200.0 * np.finfo(float).eps / g.delta ** 2)
     assert np.max(np.abs(L @ phi)) <= tol
+
+
+def test_discrete_bifurcation_pair_stall_is_a_newton_error(cache):
+    # one step cannot converge from the continuum pair: the failure is a
+    # typed corrector error carrying the last iterate and its residual
+    from spark_branch.steady import MaxIterExceeded, NewtonError
+
+    g = cache.grid(129)
+    lam = cache.spark("(2,3,1)", 129).lambda_dagger
+    tri = cache.triple("(2,3,1)", 129)
+    guess = pack(State(lam, tri.phi_i, tri.phi_e, tri.phi_v))
+    with pytest.raises(MaxIterExceeded) as info:
+        discrete_bifurcation_pair(lam, guess, P1, g, max_iter=1)
+    assert isinstance(info.value, NewtonError)
+    last = info.value.state
+    assert last.lam != lam and abs(last.lam - lam) <= 5.0 * g.delta
+    assert last.V[0] == last.V[-1] == last.rho_i[0] == 0.0
+    assert np.all(np.isfinite(pack(last)))
+    assert info.value.residual_norm > 1e-9
