@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid
 
 from .electron import ElectronSolution, emission_kernel
@@ -46,6 +47,8 @@ from .grid import (GridFunction, RadialGrid, boundary_derivative,
                    sturm_liouville_rows, weighted_inner)
 from .model import (Parameters, g_fn, g_prime, townsend_h,
                     townsend_h_prime)
+from .steady import (BandLU, StencilPattern, block_squares, fill_pattern,
+                     smallest_singular, stencil_pattern)
 
 
 @dataclass
@@ -95,15 +98,26 @@ def nullspace_triple(lam: float, u_dagger: ElectronSolution, p: Parameters,
 
 
 # ---------------------------------------------------------------------------
-# Reduced matrix of the linearization at the trivial state (second order).
-# Unknown layout: [S_i at nodes 1..n-1 | S_e at nodes 1..n-1 | W at 1..n-2];
-# rows: transport at 1..n-1, electron at 1..n-2, potential at 1..n-2, and the
-# scalar cathode-emission row.  Square of size 3n-4 with 13n-21 nonzeros,
-# assembled as a canonical scipy.sparse CSR matrix; nullspace_residual
-# applies it as a sparse product.  In the steady Jacobian's node
-# interleaving it has 6 sub- and 4 superdiagonals, inside the Jacobian's
-# band layout, so svd_probe factors it with steady.BandLU.
+# Reduced matrix of the linearization at the trivial state (second order),
+# on steady's packed layout with S_i, S_e and W in the slots of rho_i, R_e
+# and V.  Rows: transport at nodes 1..n-1 (one-sided at the cathode),
+# electron and potential at 1..n-2, and the scalar cathode-emission row.
+# Square of size 3n-4 with 13n-21 nonzeros, filled on a stencil pattern by
+# steady's assembler (fill_pattern), as the Jacobian is.  In the Jacobian's
+# node interleaving it has 6 sub- and 4 superdiagonals, inside the
+# Jacobian's band layout, so svd_probe factors it with steady.BandLU.
 # ---------------------------------------------------------------------------
+
+def _linearized_pattern(grid: RadialGrid) -> StencilPattern:
+    n = grid.n
+    interior, cathode = np.arange(1, n - 1), np.array([n - 1])
+    return stencil_pattern(n, (
+        (interior, (("rho_i", (-1, 1)), ("R_e", (-1, 0, 1)))),      # transport
+        (cathode, (("rho_i", (-2, -1, 0)), ("R_e", (-2, -1, 0)))),
+        (interior, (("R_e", (-1, 0, 1)),)),                         # electron
+        (interior, (("rho_i", (0,)), ("R_e", (0,)), ("V", (-1, 0, 1)))),
+        (cathode, (("rho_i", (0,)), ("R_e", (-2, -1, 0))))))        # emission
+
 
 def _trivial_coefficients(lam, p, grid):
     """h(lambda H'), g(lambda H') and e^{-lambda H/2} at the nodes."""
@@ -118,28 +132,12 @@ def pack_triple(triple: NullTriple) -> np.ndarray:
 def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
     """Sparse reduced matrix of the four linearized rows at the trivial state.
 
-    Every entry is computed once, by the same floating-point expression
-    whatever the node, and written into an otherwise empty matrix; exact
-    zeros are dropped.  The result is canonical CSR (sorted, no duplicates).
-    """
-    n = grid.n
+    Every entry is computed by the same floating-point expression
+    whatever the node; exact zeros are dropped, and the result is
+    canonical CSR (sorted, no duplicates)."""
     r = grid.r
     D = derivative_bands(grid)
-    oe, ov = n - 1, 2 * n - 2          # first S_e and W unknown
-    row_oe, row_ov = n - 1, 2 * n - 3  # first electron and potential row
-    dim = 3 * n - 4
-    rows, cols, vals = [], [], []
-
-    def put(row, col, val):
-        row, col = np.broadcast_arrays(row, col)
-        rows.append(row.ravel())
-        cols.append(col.ravel())
-        vals.append(np.broadcast_to(val, row.shape).ravel())
-
     h, q, emh = _trivial_coefficients(lam, p, grid)
-    j = np.arange(1, n - 1)    # interior nodes; row j - 1 of each block
-    jl = j[1:]                 # nodes whose left neighbour is an unknown
-    cathode = np.arange(n - 4, n - 1)
 
     # Transport rows, finite-volume form: 2 k_i lam S_i' - k_e r^2 h e^{-lam H/2} S_e
     # integrated over the two-cell stencil and divided by 2 delta r_j^2.  The
@@ -148,52 +146,38 @@ def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.spar
     # integral-built phi_i satisfies.
     coef = 2.0 * p.k_i * lam / r ** 2
     s = p.k_e * r ** 2 * h * emh
-    put(jl - 1, jl - 2, coef[jl] * D[jl, 1])
-    put(jl - 1, oe + jl - 2, -0.25 * s[jl - 1] / r[jl] ** 2)
-    put(j - 1, j, coef[j] * D[j, 3])
-    put(j - 1, oe + j - 1, -0.5 * s[j] / r[j] ** 2)
-    put(j - 1, oe + j, -0.25 * s[j + 1] / r[j] ** 2)
-    put(n - 2, cathode, coef[-1] * D[-1, 0:3])
-    put(n - 2, oe + cathode, np.array([0.25, -0.5, -0.75]) * s[n - 3:] / r[-1] ** 2)
+    transport = np.hstack([
+        coef[1:-1, None] * D[1:-1, 1:4:2],
+        np.array([-0.25, -0.5, -0.25]) * sliding_window_view(s, 3)
+        / r[1:-1, None] ** 2])
+    cathode_transport = np.concatenate([
+        coef[-1] * D[-1, 0:3], np.array([0.25, -0.5, -0.75]) * s[-3:] / r[-1] ** 2])
 
-    # electron rows at j=1..n-2: -(S_e'' + (2/r) S_e') - g S_e
-    sub, diag, sup = sturm_liouville_rows(grid, q)
-    put(row_oe + jl - 1, oe + jl - 2, sub[jl])
-    put(row_oe + j - 1, oe + j - 1, diag[j])
-    put(row_oe + j - 1, oe + j, sup[j])
+    # electron rows: -(S_e'' + (2/r) S_e') - g S_e
+    electron = np.column_stack(sturm_liouville_rows(grid, q))[1:-1]
 
-    # potential rows at j=1..n-2: lap W - S_i + e^{-lam H/2} S_e
-    L = laplacian_bands(grid)
-    put(row_ov + jl - 1, ov + jl - 2, L[jl, 2])
-    put(row_ov + j - 1, ov + j - 1, L[j, 3])
-    put(row_ov + j[:-1] - 1, ov + j[:-1], L[j[:-1], 4])
-    put(row_ov + j - 1, j - 1, -1.0)
-    put(row_ov + j - 1, oe + j - 1, emh[j])
+    # potential rows: lap W - S_i + e^{-lam H/2} S_e
+    potential = np.hstack([np.full_like(emh[1:-1, None], -1.0), emh[1:-1, None],
+                           laplacian_bands(grid)[1:-1, 2:5]])
 
     # cathode-emission row
-    put(dim - 1, oe + cathode, D[-1, 0:3] + [0.0, 0.0, 0.25 * lam])
-    put(dim - 1, n - 2, -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam))
+    emission = np.concatenate([
+        [-p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam)],
+        D[-1, 0:3] + [0.0, 0.0, 0.25 * lam]])
 
-    A = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
-    A.eliminate_zeros()
-    return A
+    return fill_pattern(grid.cached("linearized_pattern", _linearized_pattern),
+                        (transport, cathode_transport, electron, potential,
+                         emission))
 
 
 def nullspace_residual(lam: float, triple: NullTriple, p: Parameters,
                        grid: RadialGrid) -> dict:
     """Weighted norms of the four linearized rows applied to the triple
     (one sparse matrix-vector product)."""
-    n = grid.n
     res = linearized_matrix(lam, p, grid) @ pack_triple(triple)
-    r2w = grid.r2w
-    row_oe = n - 1
-    row_ov = row_oe + (n - 2)
-    l1 = float(np.sqrt(np.dot(r2w[1:], res[:row_oe] ** 2)))
-    l2 = float(np.sqrt(np.dot(r2w[1:-1], res[row_oe:row_ov] ** 2)))
-    l3 = float(np.sqrt(np.dot(r2w[1:-1], res[row_ov:row_ov + n - 2] ** 2)))
-    l4 = float(abs(res[-1]))
+    squares, emission = block_squares(res, grid)
+    l1, l2, l3 = (float(np.sqrt(sq)) for sq in squares)
+    l4 = float(emission)
     total = float(np.sqrt(l1 ** 2 + l2 ** 2 + l3 ** 2 + l4 ** 2))
     return {"transport": l1, "electron": l2, "potential": l3,
             "emission": l4, "total": total}
@@ -204,8 +188,6 @@ def svd_probe(lam: float, p: Parameters, grid: RadialGrid) -> tuple:
     its band LU (steady.smallest_singular): s1 by inverse iteration,
     then s2 by the same iteration deflated through the border
     (u1, v1): O(n) work and memory on any grid."""
-    from .steady import BandLU, smallest_singular
-
     A = linearized_matrix(lam, p, grid)
     lu = BandLU(A, grid)
     s1, u1, v1 = smallest_singular(lu)

@@ -209,7 +209,8 @@ def branch_csv(branch: continuation.Branch) -> str:
         ]))
     for event in branch.events:
         lines.append(f"# event={event['kind']} s={float(event['s'])!r} "
-                     f"lambda={float(event['lambda'])!r}")
+                     f"lambda={float(event['lambda'])!r}"
+                     + (" fallback=1" if event.get("fallback") else ""))
     lines.append(f"# termination={branch.termination.kind}")
     return "\n".join(lines) + "\n"
 

@@ -185,8 +185,7 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
             return val, pw * tangent.x, tangent.dlam
 
         try:
-            res = newton_solve(guess, p, grid, tol=tol, mode="extended",
-                               constraint=constraint)
+            res = newton_solve(guess, p, grid, tol=tol, constraint=constraint)
         except (NewtonError, AdmissibilityError) as exc:
             last_err = exc
             h *= 0.5
@@ -240,7 +239,7 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     solve per step, deterministic start, residual stop test), so traces
     stay bit-reproducible; without it no step runs and sigma is None.
     Returns (None, 0.0) when the factorization or the tangent solve
-    fails, and sigma = 0.0 when the iteration does.
+    fails, and sigma = NaN when the iteration does.
     """
     J = jacobian(state, p, grid)
     col = dresidual_dlambda(state, p, grid)
@@ -263,7 +262,7 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     try:
         return t_new, smallest_singular(lu)[0]
     except np.linalg.LinAlgError:
-        return t_new, 0.0
+        return t_new, np.nan
 
 
 def crossing_events(prev: BranchPoint, point: BranchPoint,
@@ -275,7 +274,8 @@ def crossing_events(prev: BranchPoint, point: BranchPoint,
     zero of t_lambda in s; an exact zero (the departure point) is not a
     sign.  A flip of det_sign is a BranchPoint, placed midway, since
     the sign carries no magnitude; det_sign 0 (no bordered
-    factorization) flips nothing.
+    factorization) flips nothing.  trace_branch also compares across
+    such a point (_branch_point).
     """
     a, b = prev.diagnostics, point.diagnostics
     events = []
@@ -287,11 +287,14 @@ def crossing_events(prev: BranchPoint, point: BranchPoint,
             "lambda": prev.state.lam + w * (point.state.lam - prev.state.lam),
             "index": index})
     if a["det_sign"] * b["det_sign"] < 0:
-        events.append({
-            "kind": "BranchPoint", "s": 0.5 * (prev.s + point.s),
-            "lambda": 0.5 * (prev.state.lam + point.state.lam),
-            "index": index})
+        events.append(_branch_point(prev, point, index))
     return events
+
+
+def _branch_point(prev: BranchPoint, point: BranchPoint, index: int) -> dict:
+    return {"kind": "BranchPoint", "s": 0.5 * (prev.s + point.s),
+            "lambda": 0.5 * (prev.state.lam + point.state.lam),
+            "index": index}
 
 
 def _classify(point: BranchPoint, lam_dagger: float, lim: dict,
@@ -346,11 +349,15 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
 
     Every point records the test functions t_lambda and det_sign, and
     their sign changes are kept on Branch.events (crossing_events); a
-    BranchPoint is also a warning.  sigma_check adds the bordered
+    BranchPoint is also a warning.  det_sign is compared with the last
+    nonzero sign, so a flip across secant-fallback points (det_sign 0)
+    is a BranchPoint over the whole bracket, marked "fallback": True.
+    sigma_check adds the bordered
     sigma_min to every point, from inverse iteration on the tangent's LU
     run to its residual stop test (two refined band solves per step; a
     median of 4 and at most 60 steps per point along a 120-point (2,3,1)
-    branch at n=129), and warns below SIGMA_WARN.
+    branch at n=129), and warns below SIGMA_WARN or, with sigma_min NaN,
+    when the iteration did not converge.
     """
     lim = dict(DEFAULT_LIMITS)
     if limits:
@@ -370,6 +377,7 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
     points[0].diagnostics.update(t_lambda=tangent.dlam, det_sign=0)
     warnings = []
     events = []
+    signed = None           # last point with a nonzero det_sign
     h = h_first
     easy = 0
 
@@ -383,10 +391,20 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
                 "s": exc.s, "h_last": exc.h_last, "error": str(exc)})
             break
         points.append(point)
-        for event in crossing_events(points[-2], point, len(points) - 1):
+        found = crossing_events(points[-2], point, len(points) - 1)
+        sign = point.diagnostics["det_sign"]
+        if signed is not None and signed is not points[-2] \
+                and signed.diagnostics["det_sign"] * sign < 0:
+            found.append(dict(_branch_point(signed, point, len(points) - 1),
+                              fallback=True))
+        if sign:
+            signed = point
+        for event in found:
             events.append(event)
             msg = (f"{event['kind']} at s={event['s']:.6f}, "
                    f"lambda={event['lambda']:.9f}")
+            if event.get("fallback"):
+                msg += " (bracket contains a secant fallback)"
             if event["kind"] == "BranchPoint":
                 msg += ": possible secondary bifurcation"
                 warnings.append(msg)
@@ -404,10 +422,15 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
             easy = 0
 
         if sigma_check:
-            sigma = point.diagnostics.get("sigma_min", 0.0)
-            if sigma < SIGMA_WARN:
+            sigma = point.diagnostics["sigma_min"]
+            msg = None
+            if np.isnan(sigma):
+                msg = (f"sigma_min inverse iteration did not converge at "
+                       f"s={point.s:.6f}")
+            elif sigma < SIGMA_WARN:
                 msg = (f"bordered Jacobian sigma_min={sigma:.3e} at "
                        f"s={point.s:.6f}: possible secondary bifurcation")
+            if msg:
                 warnings.append(msg)
                 log.warning(msg)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (GridFunction, RadialGrid, BandedSolveError, integrate,
-                   node_dH, radial_laplacian_all_nodes, solve_sl_dirichlet_robin)
+                   node_dH, solve_sl_dirichlet_robin)
 from .model import Parameters, g_fn, g_prime
 
 LAMBDA_SCAN_MIN = 1e-2
@@ -277,11 +277,6 @@ def auxiliary_U(lam: float, grid: RadialGrid) -> GridFunction:
     return (alpha / lam) * (np.exp(0.5 * lam - lam / r) - np.exp(-1.5 * lam + lam / r))
 
 
-def auxiliary_U_cathode_value(lam: float) -> float:
-    """U(2, lambda) = (4/lambda) * tanh(lambda/2)."""
-    return 4.0 / lam * np.tanh(0.5 * lam)
-
-
 def auxiliary_U_cathode_slope(lam: float) -> float:
     """dU/dr at r=2 from the general derivative formula, not the
     pre-simplified identity: alpha/r^2 * (e^{lam/2 - lam/r} + e^{-3 lam/2
@@ -296,23 +291,6 @@ def auxiliary_U_cathode_slope(lam: float) -> float:
                  * (np.exp(0.5 * lam - lam / r) + np.exp(-1.5 * lam + lam / r)))
 
 
-def boundary_B_of_U(lam: float, p: Parameters, grid: RadialGrid) -> float:
-    """B(lambda, U) via the overflow-safe product form
-
-        p*U = (a*alpha/2) e^{-b r^2/(2 lambda)} (1 - e^{-2 lambda + 2 lambda/r}),
-
-    so B(lambda, U) = alpha*(1/2 - (gamma a/2) * int_1^2 e^{-b r^2/(2 lambda)}
-    (1 - e^{-2 lambda (1 - 1/r)}) dr), which is negative for large lambda
-    whenever gamma*a > 1.
-    """
-    if lam <= 0.0:
-        raise ValueError("auxiliary solution needs lambda > 0")
-    r = grid.r
-    alpha = 4.0 / (1.0 + np.exp(-lam))
-    integrand = np.exp(-p.b * r ** 2 / (2.0 * lam)) * (1.0 - np.exp(-2.0 * lam + 2.0 * lam / r))
-    return alpha * (0.5 - 0.5 * p.gamma * p.a * integrate(integrand, grid))
-
-
 def auxiliary_U_solve_gap(lam: float, grid: RadialGrid) -> float:
     """Max-norm gap between the collocation solve of U's own boundary-value
     problem (q = -lambda^2/r^4, same Dirichlet/Robin rows) and the closed
@@ -321,12 +299,3 @@ def auxiliary_U_solve_gap(lam: float, grid: RadialGrid) -> float:
     q = -lam ** 2 / grid.r ** 4
     u_h = solve_sl_dirichlet_robin(grid, q, 0.0, 1.0)
     return float(np.max(np.abs(u_h - auxiliary_U(lam, grid))))
-
-
-def auxiliary_U_stencil_residual(lam: float, grid: RadialGrid) -> float:
-    """Max-norm of the raw interior stencil residual of sampled U; O(delta^2)
-    with a large constant at high voltage (the profile steepens near the
-    cathode), so only the order is meaningful, not a small constant."""
-    U = auxiliary_U(lam, grid)
-    res = radial_laplacian_all_nodes(U, grid) - lam ** 2 / grid.r ** 4 * U
-    return float(np.max(np.abs(res[1:-1])))

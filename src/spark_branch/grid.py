@@ -48,9 +48,10 @@ class RadialGrid:
     def cached(self, key: str, build):
         """Per-grid memo for derived operators and layouts (the stencil
         band tables, H and H' at the nodes, packed weights, the
-        Sturm-Liouville rows and Robin cathode row, the Jacobian pattern
-        and its band layout): build(self) runs on the first request for
-        key, later requests share its value."""
+        Sturm-Liouville rows and Robin cathode row, the stencil patterns
+        of the Jacobian and the linearization, the band layout):
+        build(self) runs on the first request for key, later requests
+        share its value."""
         try:
             return self._cache[key]
         except KeyError:

@@ -22,11 +22,13 @@ discretization of the linearized operator there, and
 trivial_linearization is just that Jacobian.  Unknown vector layout:
 rho_i at nodes 1..n-1, R_e at nodes 1..n-1, V at nodes 1..n-2.
 
-Assembly.  The Jacobian's sparsity pattern depends only on the grid, so
-it is built once per grid (JacobianPattern, kept in the grid's cache)
-with vectorized numpy from the row stencils of the four blocks.  Each
-jacobian call then fills one data vector.  Every entry is computed from
-the grid's derivative_bands and laplacian_bands (the stencil
+Assembly.  One assembler builds every sparse operator on the packed
+layout: the Jacobian here and adjoint.linearized_matrix.  An operator's
+sparsity pattern is a tuple of row blocks (nodes, stencil) and depends
+only on the grid, so it is built once per grid (StencilPattern, kept in
+the grid's cache) with vectorized numpy; each call then fills one value
+slab per row block (fill_pattern).  Every Jacobian entry is computed
+from the grid's derivative_bands and laplacian_bands (the stencil
 coefficients, read off the vector forms) by the same floating-point
 expression, in the same order, as the product of stencil matrices it
 differentiates, and exact zeros are dropped; the CSR result is therefore
@@ -209,19 +211,25 @@ def residual_vector(state: State, p: Parameters, grid: RadialGrid) -> np.ndarray
     return np.concatenate([res.F1, res.F2, res.F3, [res.F4]])
 
 
+def block_squares(vec: np.ndarray, grid: RadialGrid) -> tuple:
+    """((s1, s2, s3), |v4|): squared weighted L2 norms of the ion,
+    electron and Poisson blocks of a residual-layout vector, and |F4|."""
+    n = grid.n
+    w = grid.r2w
+    return ((np.dot(w[1:], vec[:n - 1] ** 2),
+             np.dot(w[1:-1], vec[n - 1:2 * n - 3] ** 2),
+             np.dot(w[1:-1], vec[2 * n - 3:3 * n - 5] ** 2)),
+            abs(vec[-1]))
+
+
 def norm_Y(res, grid: RadialGrid) -> float:
     """Weighted discrete L2 norm of the residual blocks plus |F4|."""
     if isinstance(res, Residual):
         vec = np.concatenate([res.F1, res.F2, res.F3, [res.F4]])
     else:
         vec = np.asarray(res)
-    n = grid.n
-    w = grid.r2w
-    s = np.dot(w[1:], vec[:n - 1] ** 2)
-    s += np.dot(w[1:-1], vec[n - 1:2 * n - 3] ** 2)
-    s += np.dot(w[1:-1], vec[2 * n - 3:3 * n - 5] ** 2)
-    s += vec[-1] ** 2
-    return float(np.sqrt(s))
+    (s1, s2, s3), f4 = block_squares(vec, grid)
+    return float(np.sqrt(s1 + s2 + s3 + f4 ** 2))
 
 
 def _block_columns(n):
@@ -239,17 +247,12 @@ _F4_STENCIL = (("rho_i", (0,)), ("R_e", (-2, -1, 0)), ("V", (-2, -1)))
 
 
 @dataclass(frozen=True)
-class JacobianPattern:
-    """Fixed sparsity layout of the Jacobian on one grid.
-
-    jacobian fills one dense slab per residual block, a row per residual
-    node and a column per stencil entry; keep marks the in-range entries
-    of the concatenated slabs, which in CSR order match indices and
-    indptr.
-    dband and lband are the grid's derivative_bands and laplacian_bands
-    (offsets -2..2 and -3..3)."""
-    dband: np.ndarray
-    lband: np.ndarray
+class StencilPattern:
+    """Fixed sparsity layout of an operator on the packed unknowns of one
+    grid, built from its row blocks (nodes, stencil).  fill_pattern takes
+    one dense slab per row block, a row per node and a column per stencil
+    entry; keep marks the in-range entries of the concatenated slabs,
+    which in CSR order match indices and indptr."""
     keep: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -257,7 +260,7 @@ class JacobianPattern:
 
 
 def _stencil_slab(nodes, stencil, blocks):
-    """Column indices and in-range mask of a block's stencil slab."""
+    """Column indices and in-range mask of a row block's stencil slab."""
     base, top, offs = [], [], []
     for block, offsets in stencil:
         b, t = blocks[block]
@@ -268,38 +271,50 @@ def _stencil_slab(nodes, stencil, blocks):
     return np.array(base) + k, (k >= 1) & (k <= np.array(top))
 
 
-def _jacobian_pattern(grid: RadialGrid) -> JacobianPattern:
-    n = grid.n
+def stencil_pattern(n: int, row_blocks: tuple) -> StencilPattern:
+    """Pattern of the row blocks (nodes, stencil), in row order, each
+    stencil in column order like the Jacobian's row stencils above."""
     blocks = _block_columns(n)
-    interior = np.arange(1, n - 1)
-    slabs = [_stencil_slab(np.arange(1, n), _F1_STENCIL, blocks),
-             _stencil_slab(interior, _F2_STENCIL, blocks),
-             _stencil_slab(interior, _F3_STENCIL, blocks),
-             _stencil_slab(np.array([n - 1]), _F4_STENCIL, blocks)]
+    slabs = [_stencil_slab(nodes, stencil, blocks)
+             for nodes, stencil in row_blocks]
     cols = np.concatenate([c.ravel() for c, _ in slabs])
     keep = np.concatenate([m.ravel() for _, m in slabs])
     counts = np.concatenate([m.sum(axis=1) for _, m in slabs])
     indptr = np.zeros(3 * n - 3, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    return JacobianPattern(
-        dband=derivative_bands(grid),
-        lband=laplacian_bands(grid),
-        keep=keep,
-        indices=cols[keep].astype(np.int32),
-        indptr=indptr,
-        shape=(3 * n - 4, 3 * n - 4))
+    return StencilPattern(keep=keep, indices=cols[keep].astype(np.int32),
+                          indptr=indptr, shape=(3 * n - 4, 3 * n - 4))
+
+
+def fill_pattern(pat: StencilPattern, slabs) -> scipy.sparse.csr_matrix:
+    """Canonical CSR matrix on pat from one value slab per row block,
+    with exact zeros dropped.  It owns its index arrays, so
+    eliminate_zeros leaves the cached pattern alone."""
+    data = np.concatenate([np.ravel(slab) for slab in slabs])[pat.keep]
+    A = scipy.sparse.csr_matrix((data, pat.indices.copy(), pat.indptr.copy()),
+                                shape=pat.shape)
+    A.eliminate_zeros()
+    return A
+
+
+def _jacobian_pattern(grid: RadialGrid) -> StencilPattern:
+    n = grid.n
+    interior = np.arange(1, n - 1)
+    return stencil_pattern(n, ((np.arange(1, n), _F1_STENCIL),
+                               (interior, _F2_STENCIL),
+                               (interior, _F3_STENCIL),
+                               (np.array([n - 1]), _F4_STENCIL)))
 
 
 def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
     """Exact derivative of the discrete residual with respect to the
     unknown vector; sparse (3n-4) x (3n-4).
 
-    Fills the data vector of the grid's fixed JacobianPattern.  Each
-    entry is the same floating-point expression, in the same order, as
-    the product of the stencil matrices it differentiates, and exact
-    zeros are dropped, so the matrix is canonical CSR."""
-    pat = grid.cached("jacobian_pattern", _jacobian_pattern)
-    Db, Lb = pat.dband, pat.lband
+    Fills the grid's fixed Jacobian pattern (fill_pattern).  Each entry
+    is the same floating-point expression, in the same order, as the
+    product of the stencil matrices it differentiates."""
+    Db = derivative_bands(grid)
+    Lb = laplacian_bands(grid)
     r = grid.r
     d = grid.delta
     lam = state.lam
@@ -352,12 +367,8 @@ def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_
         [-p.gamma * kappa * np.exp(0.5 * lam) * (bdV + 0.5 * lam)],
         row4e, emission * Db[-1, 0:2]])
 
-    data = np.concatenate([slab1.ravel(), slab2.ravel(), slab3.ravel(),
-                           row4])[pat.keep]
-    J = scipy.sparse.csr_matrix((data, pat.indices.copy(), pat.indptr.copy()),
-                                shape=pat.shape)
-    J.eliminate_zeros()
-    return J
+    return fill_pattern(grid.cached("jacobian_pattern", _jacobian_pattern),
+                        (slab1, slab2, slab3, row4))
 
 
 @dataclass(frozen=True)
@@ -502,15 +513,12 @@ class BandLU:
         top, xi = x[:-1], x[-1]
         return np.append(J @ top + xi * col, np.dot(row, top) + corner * xi)
 
-    def solve(self, b: np.ndarray, trans: bool = False,
-              refine: bool = True) -> np.ndarray:
+    def solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solution of the (bordered) system, or of its transpose when
-        trans, with one step of refinement against the exact product
-        unless refine is False."""
+        trans, with one step of refinement against the exact product."""
         t = int(trans)
         x = self._eliminate(b, t)
-        if refine:
-            x += self._eliminate(b - self._product(x, t), t)
+        x += self._eliminate(b - self._product(x, t), t)
         if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError("non-finite solution")
         return x
@@ -646,39 +654,18 @@ def densities(state: State, grid: RadialGrid) -> DensityReport:
                          positive=positive)
 
 
-def cathode_flux_gap(state: State, p: Parameters, grid: RadialGrid) -> float:
-    """Difference between the pointwise cathode emission row and its
-    integrated form (the F4 row with rho_i(2) replaced by the ion
-    quadrature); O(delta) at converged states."""
-    r = grid.r
-    lam = state.lam
-    E = field(state, grid)
-    emh = np.exp(-0.5 * lam * node_H(grid))
-    integrand = r ** 2 * townsend_h(np.abs(E), p) * emh * state.R_e
-    integral = np.trapezoid(integrand, r)
-    bdRe = boundary_derivative(state.R_e, grid, "cathode")
-    bdV = boundary_derivative(state.V, grid, "cathode")
-    rhs = -(0.25 * lam + bdV) * state.R_e[-1] \
-        + 0.25 * p.gamma * np.exp(0.5 * lam) * integral
-    return float(abs(bdRe - rhs))
-
-
 def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                 mode: str = "fixed", constraint=None) -> NewtonResult:
+                 constraint=None) -> NewtonResult:
     """Damped Newton on the discrete residual.
 
-    mode="fixed" keeps lambda frozen; mode="extended" treats lambda as an
-    unknown and closes the system with the caller's scalar constraint, a
-    callable state -> (value, d/d(unknowns), d/d(lambda)).  Armijo
+    Without a constraint lambda stays frozen.  With one, lambda is an
+    unknown and the caller's scalar constraint, a callable state ->
+    (value, d/d(unknowns), d/d(lambda)), closes the system.  Armijo
     backtracking halves the step until the residual norm decreases;
     failures raise MaxIterExceeded / LineSearchStall / SingularJacobian
     carrying the last iterate.
     """
-    if mode not in ("fixed", "extended"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "extended" and constraint is None:
-        raise ValueError("extended mode needs a constraint row")
     rep = admissibility(guess, grid)
     if not rep.ok:
         raise AdmissibilityError(
@@ -688,7 +675,7 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
 
     def merit(st):
         rv = residual_vector(st, p, grid)
-        if mode == "extended":
+        if constraint is not None:
             cval = constraint(st)[0]
             return rv, float(np.hypot(norm_Y(rv, grid), cval))
         return rv, norm_Y(rv, grid)
@@ -698,7 +685,7 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
         if nrm <= tol:
             return NewtonResult(state, it, nrm)
         J = jacobian(state, p, grid)
-        if mode == "fixed":
+        if constraint is None:
             border, rhs = (), -rv
         else:
             cval, dc_dx, dc_dlam = constraint(state)
@@ -710,7 +697,7 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"linear solve failed: {exc}",
                                    state, nrm) from exc
-        if mode == "fixed":
+        if constraint is None:
             step, delta_lam = full, 0.0
         else:
             step, delta_lam = full[:-1], full[-1]

@@ -1,91 +1,19 @@
-"""Independent cross-checks: adaptive shooting, difference-quotient
-Jacobians, and convergence-order fits.
+"""Cross-checks of the production solvers: the difference-quotient
+Jacobian behind `validate`, the exact bifurcation point of the discrete
+system, and convergence-order fits.
 
-Apart from discrete_bifurcation_pair, which works on the production
-Jacobian itself, everything here avoids the banded collocation path of
-the production solvers, so the two routes can disagree: the shooting
-oracle integrates initial-value problems with an embedded adaptive
-Runge-Kutta pair (DOP853) and superposes homogeneous/particular parts,
-which is valid because the boundary-value problems are linear.
+fd_jacobian differences the residual and never touches the analytic
+Jacobian, so the two routes can disagree; discrete_bifurcation_pair
+works on the production Jacobian itself.  richardson and
+convergence_orders fit orders from grid-doubling studies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .grid import GridFunction, RadialGrid
-from .model import Parameters, g_fn, harmonic_dH
-
-SHOOT_RTOL = 1e-11
-SHOOT_ATOL = 1e-13
-
-
-@dataclass
-class ShootingResult:
-    u_samples: GridFunction
-    match_norm: float      # max-norm gap vs the collocation solve on the same grid
-
-
-def _integrate_linear(grid: RadialGrid, q_of_r, f_of_r, y0):
-    """Integrate y'' = -(2/r) y' - q(r) y - f(r) from r=1 to r=2."""
-    def rhs(r, y):
-        return [y[1], -(2.0 / r) * y[1] - q_of_r(r) * y[0] - f_of_r(r)]
-
-    sol = solve_ivp(rhs, (1.0, 2.0), y0, method="DOP853",
-                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"shooting integration failed: {sol.message}")
-    return sol
-
-
-def shoot_linear_robin(grid: RadialGrid, q_of_r, f_of_r, cathode_slope: float):
-    """Solve -u'' - (2/r)u' - q u = f, u(1)=0, u'(2)=cathode_slope by shooting.
-
-    Superposition: u = u_p + s * u_h with u_h the homogeneous solution of
-    unit initial slope and s fixed by the cathode condition.  Returns the
-    samples on the grid nodes.
-    """
-    hom = _integrate_linear(grid, q_of_r, lambda r: 0.0, [0.0, 1.0])
-    dh2 = hom.y[1, -1]
-    if dh2 == 0.0:
-        raise RuntimeError("degenerate shooting: homogeneous slope vanished at cathode")
-    if f_of_r is None:
-        return (cathode_slope / dh2) * hom.sol(grid.r)[0]
-    part = _integrate_linear(grid, q_of_r, f_of_r, [0.0, 0.0])
-    s = (cathode_slope - part.y[1, -1]) / dh2
-    return part.sol(grid.r)[0] + s * hom.sol(grid.r)[0]
-
-
-def shoot_electron(lam: float, p: Parameters, grid: RadialGrid) -> ShootingResult:
-    """Shooting solution of the electron system, rescaled to u'(2) = 1."""
-    if lam <= 0.0:
-        raise ValueError("shooting oracle needs lambda > 0")
-
-    def q_of_r(r):
-        return g_fn(lam * harmonic_dH(r), p)
-
-    u = shoot_linear_robin(grid, q_of_r, None, 1.0)
-
-    from .electron import solve_electron
-    coll = solve_electron(lam, p, grid)
-    return ShootingResult(u_samples=u, match_norm=float(np.max(np.abs(u - coll.u))))
-
-
-def shoot_adjoint_w(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray:
-    """Shooting solution of the normalized adjoint profile w (inhomogeneous
-    problem with the same operator, cathode slope -lambda/4)."""
-    def q_of_r(r):
-        return g_fn(lam * harmonic_dH(r), p)
-
-    def f_of_r(r):
-        # gamma e^{lambda/2} h(lambda H') e^{-lambda H/2}, combined exponents
-        return (p.gamma * p.a * (2.0 * lam / r ** 2)
-                * np.exp(-0.5 * lam + lam / r - p.b * r ** 2 / (2.0 * lam)))
-
-    return shoot_linear_robin(grid, q_of_r, f_of_r, -0.25 * lam)
+from .grid import RadialGrid
+from .model import Parameters
 
 
 def fd_jacobian(state, p: Parameters, grid: RadialGrid, eps: float = 1e-6,

@@ -12,9 +12,17 @@ Run `python -m tests.oracles` to reprint the table.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
+
+if TYPE_CHECKING:
+    from spark_branch.grid import GridFunction, RadialGrid
+    from spark_branch.model import Parameters
+    from spark_branch.steady import State
 
 RTOL = 1e-11
 ATOL = 1e-13
@@ -385,7 +393,7 @@ class SuperLUBordered:
         sign = _parity(self._lu.perm_r) * _parity(self._lu.perm_c)
         return -sign if negative % 2 else sign
 
-    def solve(self, b, trans=False, refine=True):
+    def solve(self, b, trans=False):
         x = self._lu.solve(b, trans="T" if trans else "N")
         if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError("non-finite solution")
@@ -401,8 +409,8 @@ class SuperLUBordered:
 # ---------------------------------------------------------------------------
 # Reduced linearization at the trivial state, assembled densely
 # ---------------------------------------------------------------------------
-# The package assembles this (3n-4)-square matrix as sparse CSR from
-# vectorized index and value arrays; this builds it the way the rows read,
+# The package fills this (3n-4)-square matrix as sparse CSR on a stencil
+# pattern (steady.fill_pattern); this builds it the way the rows read,
 # node by node into a dense array, and the tests require the two to agree
 # entry for entry.
 
@@ -487,6 +495,146 @@ def svd_probe_reference(lam, p, grid):
     sigma = np.linalg.svd(linearized_matrix(lam, p, grid).toarray(),
                           compute_uv=False)
     return float(sigma[-1]), float(sigma[-2])
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers moved out of the package
+# ---------------------------------------------------------------------------
+# Only the tests call these, so they live here, moved verbatim: the
+# shooting oracle that was in spark_branch.validation, the closed-form
+# comparison profile's B and its cathode value and stencil residual from
+# spark_branch.electron, and the integrated cathode-emission gap from
+# spark_branch.steady.  Their package imports are local, as elsewhere in
+# this file, so the continuum table still runs without the package.
+
+SHOOT_RTOL = 1e-11
+SHOOT_ATOL = 1e-13
+
+
+@dataclass
+class ShootingResult:
+    u_samples: GridFunction
+    match_norm: float      # max-norm gap vs the collocation solve on the same grid
+
+
+def _integrate_linear(grid: RadialGrid, q_of_r, f_of_r, y0):
+    """Integrate y'' = -(2/r) y' - q(r) y - f(r) from r=1 to r=2."""
+    def rhs(r, y):
+        return [y[1], -(2.0 / r) * y[1] - q_of_r(r) * y[0] - f_of_r(r)]
+
+    sol = solve_ivp(rhs, (1.0, 2.0), y0, method="DOP853",
+                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"shooting integration failed: {sol.message}")
+    return sol
+
+
+def shoot_linear_robin(grid: RadialGrid, q_of_r, f_of_r, cathode_slope: float):
+    """Solve -u'' - (2/r)u' - q u = f, u(1)=0, u'(2)=cathode_slope by shooting.
+
+    Superposition: u = u_p + s * u_h with u_h the homogeneous solution of
+    unit initial slope and s fixed by the cathode condition.  Returns the
+    samples on the grid nodes.
+    """
+    hom = _integrate_linear(grid, q_of_r, lambda r: 0.0, [0.0, 1.0])
+    dh2 = hom.y[1, -1]
+    if dh2 == 0.0:
+        raise RuntimeError("degenerate shooting: homogeneous slope vanished at cathode")
+    if f_of_r is None:
+        return (cathode_slope / dh2) * hom.sol(grid.r)[0]
+    part = _integrate_linear(grid, q_of_r, f_of_r, [0.0, 0.0])
+    s = (cathode_slope - part.y[1, -1]) / dh2
+    return part.sol(grid.r)[0] + s * hom.sol(grid.r)[0]
+
+
+def shoot_electron(lam: float, p: Parameters, grid: RadialGrid) -> ShootingResult:
+    """Shooting solution of the electron system, rescaled to u'(2) = 1."""
+    from spark_branch.model import g_fn, harmonic_dH
+
+    if lam <= 0.0:
+        raise ValueError("shooting oracle needs lambda > 0")
+
+    def q_of_r(r):
+        return g_fn(lam * harmonic_dH(r), p)
+
+    u = shoot_linear_robin(grid, q_of_r, None, 1.0)
+
+    from spark_branch.electron import solve_electron
+    coll = solve_electron(lam, p, grid)
+    return ShootingResult(u_samples=u, match_norm=float(np.max(np.abs(u - coll.u))))
+
+
+def shoot_adjoint_w(lam: float, p: Parameters, grid: RadialGrid) -> np.ndarray:
+    """Shooting solution of the normalized adjoint profile w (inhomogeneous
+    problem with the same operator, cathode slope -lambda/4)."""
+    from spark_branch.model import g_fn, harmonic_dH
+
+    def q_of_r(r):
+        return g_fn(lam * harmonic_dH(r), p)
+
+    def f_of_r(r):
+        # gamma e^{lambda/2} h(lambda H') e^{-lambda H/2}, combined exponents
+        return (p.gamma * p.a * (2.0 * lam / r ** 2)
+                * np.exp(-0.5 * lam + lam / r - p.b * r ** 2 / (2.0 * lam)))
+
+    return shoot_linear_robin(grid, q_of_r, f_of_r, -0.25 * lam)
+
+
+def auxiliary_U_cathode_value(lam: float) -> float:
+    """U(2, lambda) = (4/lambda) * tanh(lambda/2)."""
+    return 4.0 / lam * np.tanh(0.5 * lam)
+
+
+def boundary_B_of_U(lam: float, p: Parameters, grid: RadialGrid) -> float:
+    """B(lambda, U) via the overflow-safe product form
+
+        p*U = (a*alpha/2) e^{-b r^2/(2 lambda)} (1 - e^{-2 lambda + 2 lambda/r}),
+
+    so B(lambda, U) = alpha*(1/2 - (gamma a/2) * int_1^2 e^{-b r^2/(2 lambda)}
+    (1 - e^{-2 lambda (1 - 1/r)}) dr), which is negative for large lambda
+    whenever gamma*a > 1.
+    """
+    from spark_branch.grid import integrate
+
+    if lam <= 0.0:
+        raise ValueError("auxiliary solution needs lambda > 0")
+    r = grid.r
+    alpha = 4.0 / (1.0 + np.exp(-lam))
+    integrand = np.exp(-p.b * r ** 2 / (2.0 * lam)) * (1.0 - np.exp(-2.0 * lam + 2.0 * lam / r))
+    return alpha * (0.5 - 0.5 * p.gamma * p.a * integrate(integrand, grid))
+
+
+def auxiliary_U_stencil_residual(lam: float, grid: RadialGrid) -> float:
+    """Max-norm of the raw interior stencil residual of sampled U; O(delta^2)
+    with a large constant at high voltage (the profile steepens near the
+    cathode), so only the order is meaningful, not a small constant."""
+    from spark_branch.electron import auxiliary_U
+    from spark_branch.grid import radial_laplacian_all_nodes
+
+    U = auxiliary_U(lam, grid)
+    res = radial_laplacian_all_nodes(U, grid) - lam ** 2 / grid.r ** 4 * U
+    return float(np.max(np.abs(res[1:-1])))
+
+
+def cathode_flux_gap(state: State, p: Parameters, grid: RadialGrid) -> float:
+    """Difference between the pointwise cathode emission row and its
+    integrated form (the F4 row with rho_i(2) replaced by the ion
+    quadrature); O(delta) at converged states."""
+    from spark_branch.grid import boundary_derivative, node_H
+    from spark_branch.model import townsend_h
+    from spark_branch.steady import field
+
+    r = grid.r
+    lam = state.lam
+    E = field(state, grid)
+    emh = np.exp(-0.5 * lam * node_H(grid))
+    integrand = r ** 2 * townsend_h(np.abs(E), p) * emh * state.R_e
+    integral = np.trapezoid(integrand, r)
+    bdRe = boundary_derivative(state.R_e, grid, "cathode")
+    bdV = boundary_derivative(state.V, grid, "cathode")
+    rhs = -(0.25 * lam + bdV) * state.R_e[-1] \
+        + 0.25 * p.gamma * np.exp(0.5 * lam) * integral
+    return float(abs(bdRe - rhs))
 
 
 def main():

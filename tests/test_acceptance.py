@@ -13,11 +13,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import CONTINUUM, PARAMS, record_criterion
+from oracles import boundary_B_of_U
 from spark_branch.model import Parameters, harmonic_H, g_fn, in_gamma_region
 from spark_branch.grid import RadialGrid
 from spark_branch.electron import (solve_electron, boundary_functional,
                                    auxiliary_U, auxiliary_U_cathode_slope,
-                                   auxiliary_U_solve_gap, boundary_B_of_U)
+                                   auxiliary_U_solve_gap)
 from spark_branch.adjoint import (nullspace_residual, svd_probe,
                                   transversality_F, transversality_crosscheck,
                                   adjoint_identity_check)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CONTINUUM, PARAMS, LAMBDA_REF_231
-from oracles import svd_probe_reference
+from oracles import shoot_adjoint_w, svd_probe_reference
 from spark_branch.electron import solve_electron
 from spark_branch.adjoint import (solve_adjoint_w, adjoint_forcing,
                                   nullspace_triple, nullspace_residual,
@@ -12,7 +12,6 @@ from spark_branch.adjoint import (solve_adjoint_w, adjoint_forcing,
                                   transversality_F, transversality_crosscheck,
                                   adjoint_identity_check,
                                   pairing_with_left_null, _forward_rows)
-from spark_branch.validation import shoot_adjoint_w
 
 
 @pytest.mark.parametrize("key", sorted(PARAMS))

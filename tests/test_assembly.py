@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse
 
 from oracles import bordered_matrix, jacobian_reference
+from spark_branch.adjoint import linearized_matrix
 from spark_branch.continuation import initial_tangent
 from spark_branch.grid import RadialGrid
 from spark_branch.steady import (admissibility, dresidual_dlambda,
@@ -66,17 +67,25 @@ def test_jacobian_exact_at_perturbed_states(short_branch, seed):
         _assert_identical(jacobian(st, P1, g), jacobian_reference(st, P1, g))
 
 
-def test_jacobian_pattern_lives_in_the_grid_cache():
+OPERATORS = {
+    "jacobian_pattern": lambda g: jacobian(trivial_state(3.5, g), P1, g),
+    "linearized_pattern": lambda g: linearized_matrix(3.5, P1, g),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPERATORS))
+def test_jacobian_pattern_lives_in_the_grid_cache(key):
     g = RadialGrid(65)
     before = set(vars(g))
-    J1 = jacobian(trivial_state(3.5, g), P1, g)
-    J2 = jacobian(trivial_state(3.5, g), P1, g)
+    J1 = OPERATORS[key](g)
+    J2 = OPERATORS[key](g)
     assert set(vars(g)) == before
-    assert "jacobian_pattern" in g._cache
+    assert key in g._cache
     # Each call owns its index arrays: eliminate_zeros must not leak
     # one state's sparsity into the cached pattern.
     assert J1.indices is not J2.indices
-    assert not np.shares_memory(J1.indices, g._cache["jacobian_pattern"].indices)
+    assert not np.shares_memory(J1.indices, g._cache[key].indices)
+    assert not np.shares_memory(J1.indptr, g._cache[key].indptr)
 
 
 def test_bordered_exact_along_short_trace(short_branch):

@@ -141,7 +141,7 @@ def test_singular_border_raises_everywhere(cache):
         return np.dot(pw * t.x, pack(s)) - 1e-3, pw * t.x, 0.0
 
     with pytest.raises(SingularJacobian):
-        newton_solve(st, P1, g, mode="extended", constraint=constraint)
+        newton_solve(st, P1, g, constraint=constraint)
 
 
 @pytest.mark.parametrize("damage", ["zero_column", "nan"])
@@ -290,10 +290,10 @@ def _counting_band_lu(monkeypatch):
             counts["factor"] += 1
             super().__init__(*args, **kwargs)
 
-        def solve(self, b, trans=False, refine=True):
+        def solve(self, b, trans=False):
             counts["solve"] += 1
             counts["trans"] += bool(trans)
-            return super().solve(b, trans=trans, refine=refine)
+            return super().solve(b, trans=trans)
 
     monkeypatch.setattr(steady, "BandLU", Counting)
     monkeypatch.setattr(continuation, "BandLU", Counting)

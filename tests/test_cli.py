@@ -292,6 +292,25 @@ def test_branch_csv_lists_events_before_termination(tmp_path, monkeypatch):
                           "# termination=MaxSteps"]
 
 
+def test_branch_csv_marks_an_event_across_a_secant_fallback(tmp_path,
+                                                           monkeypatch):
+    trace = cli.continuation.trace_branch
+
+    def with_event(*args, **kwargs):
+        branch = trace(*args, **kwargs)
+        branch.events.append({"kind": "BranchPoint", "s": 0.0025,
+                              "lambda": 3.6, "index": 2, "fallback": True})
+        return branch
+
+    monkeypatch.setattr(cli.continuation, "trace_branch", with_event)
+    path = _write_config(tmp_path, grid_n=65, max_steps=3)
+    out = tmp_path / "branch.csv"
+    assert cli.main(["branch", "--config", path, "--out", str(out)]) == EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[-2:] == ["# event=BranchPoint s=0.0025 lambda=3.6 fallback=1",
+                          "# termination=MaxSteps"]
+
+
 def test_branch_without_sign_change_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, gamma=1e-6, grid_n=65)
     assert cli.main(["branch", "--config", path]) == EXIT_NO_SPARK

@@ -327,6 +327,68 @@ def test_secant_tangent_replaces_a_failed_tangent_solve(cache, monkeypatch):
     assert np.allclose(secant.x, dx / norm, rtol=0.0, atol=1e-12)
 
 
+def test_det_sign_flip_across_a_secant_fallback_is_a_branch_point(
+        cache, monkeypatch):
+    """det_sign is compared with the last nonzero sign: a flip between
+    point 2 and point 4, with the secant fallback (det_sign 0) at point 3
+    between them, is one BranchPoint over the bracket [s_2, s_4], marked
+    as containing a fallback, and a warning that says so."""
+    g = cache.grid(65)
+    good = continuation.tangent_and_sigma
+    calls = []
+
+    def fallback_then_flip(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            return None, 0.0
+        t, sigma = good(*args, **kwargs)
+        if len(calls) >= 4:
+            t.det_sign = -t.det_sign
+        return t, sigma
+
+    monkeypatch.setattr(continuation, "tangent_and_sigma", fallback_then_flip)
+    br = trace_branch(P1, g, limits={"max_steps": 6})
+    pts = br.points
+    assert [q.diagnostics["det_sign"] == 0 for q in pts] == \
+        [True, False, False, True, False, False, False]
+    assert pts[2].diagnostics["det_sign"] == -pts[4].diagnostics["det_sign"]
+    assert br.events == [{"kind": "BranchPoint",
+                          "s": 0.5 * (pts[2].s + pts[4].s),
+                          "lambda": 0.5 * (pts[2].state.lam + pts[4].state.lam),
+                          "index": 4, "fallback": True}]
+    assert len(br.warnings) == 1
+    assert "secant fallback" in br.warnings[0]
+    assert "possible secondary bifurcation" in br.warnings[0]
+
+
+def test_failed_sigma_iteration_is_nan_and_no_bifurcation_warning(
+        cache, monkeypatch):
+    """When smallest_singular raises, the point records sigma_min NaN and
+    the trace warns that the iteration did not converge; it does not
+    report a possible secondary bifurcation.  The trace is unchanged."""
+    g = cache.grid(65)
+    plain = trace_branch(P1, g, limits={"max_steps": 6}, sigma_check=True)
+    good = continuation.smallest_singular
+    calls = []
+
+    def fails_once(lu):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("inverse iteration not converged")
+        return good(lu)
+
+    monkeypatch.setattr(continuation, "smallest_singular", fails_once)
+    br = trace_branch(P1, g, limits={"max_steps": 6}, sigma_check=True)
+    sig = [q.diagnostics["sigma_min"] for q in br.points[1:]]
+    assert np.isnan(sig[2])
+    ref = [q.diagnostics["sigma_min"] for q in plain.points[1:]]
+    assert sig[:2] + sig[3:] == ref[:2] + ref[3:]
+    assert min(ref) >= continuation.SIGMA_WARN and plain.warnings == []
+    assert br.warnings == [f"sigma_min inverse iteration did not converge "
+                           f"at s={br.points[3].s:.6f}"]
+    assert [q.s for q in br.points] == [q.s for q in plain.points]
+
+
 @pytest.fixture(scope="module")
 def plain129(cache):
     """Default (no sigma_check) 400-step traces at n=129, per frozen set."""

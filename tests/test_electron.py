@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import CONTINUUM, PARAMS
+from oracles import (auxiliary_U_cathode_value, auxiliary_U_stencil_residual,
+                     boundary_B_of_U)
 from spark_branch.model import Parameters, harmonic_H
 from spark_branch.grid import RadialGrid, boundary_derivative
 from spark_branch.electron import (NoSignChange, SolverFailure, solve_electron,
                                    boundary_functional, boundary_B, dB_dlambda,
                                    critical_gamma, sparking_voltage,
                                    emission_kernel, auxiliary_U,
-                                   auxiliary_U_cathode_value,
                                    auxiliary_U_cathode_slope,
-                                   boundary_B_of_U, auxiliary_U_solve_gap,
-                                   auxiliary_U_stencil_residual)
+                                   auxiliary_U_solve_gap)
 from spark_branch.validation import richardson, convergence_orders
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import PARAMS
-from oracles import trivial_linearization_reference
+from oracles import cathode_flux_gap, trivial_linearization_reference
 from spark_branch.model import Parameters, townsend_h, harmonic_H, harmonic_dH
 from spark_branch.grid import RadialGrid, weighted_inner
 from spark_branch.electron import solve_electron
@@ -14,7 +14,7 @@ from spark_branch.steady import (State, trivial_state, pack, pack_weights,
                                  unpack, field, residual, residual_vector,
                                  norm_Y, jacobian, dresidual_dlambda,
                                  admissibility, ion_consistency, densities,
-                                 cathode_flux_gap, newton_solve,
+                                 newton_solve,
                                  AdmissibilityError, NewtonError,
                                  MaxIterExceeded)
 from spark_branch.validation import fd_jacobian, convergence_orders

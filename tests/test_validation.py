@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import PARAMS
+from oracles import shoot_adjoint_w, shoot_electron, shoot_linear_robin
 from spark_branch.grid import RadialGrid
 from spark_branch.electron import auxiliary_U, solve_electron
 from spark_branch.adjoint import nullspace_triple
 from spark_branch.steady import (State, dresidual_dlambda, pack, pack_weights,
                                  trivial_linearization, unpack)
-from spark_branch.validation import (shoot_linear_robin, shoot_electron,
-                                     shoot_adjoint_w, fd_jacobian, richardson,
+from spark_branch.validation import (fd_jacobian, richardson,
                                      convergence_orders,
                                      discrete_bifurcation_pair)
 
