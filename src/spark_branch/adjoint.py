@@ -47,8 +47,8 @@ from .grid import (GridFunction, RadialGrid, boundary_derivative,
                    sturm_liouville_rows, weighted_inner)
 from .model import (Parameters, g_fn, g_prime, townsend_h,
                     townsend_h_prime)
-from .steady import (BandLU, StencilPattern, block_squares, fill_pattern,
-                     smallest_singular, stencil_pattern)
+from .steady import (BandLU, State, StencilPattern, block_squares,
+                     fill_pattern, pack, smallest_singular, stencil_pattern)
 
 
 @dataclass
@@ -126,7 +126,8 @@ def _trivial_coefficients(lam, p, grid):
 
 
 def pack_triple(triple: NullTriple) -> np.ndarray:
-    return np.concatenate([triple.phi_i[1:], triple.phi_e[1:], triple.phi_v[1:-1]])
+    """The triple on steady's packed unknown layout (steady.pack)."""
+    return pack(State(0.0, triple.phi_i, triple.phi_e, triple.phi_v))
 
 
 def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:

@@ -252,6 +252,8 @@ def _scan_axis_row(cfg: RunConfig, p: Parameters):
 
 def cmd_scan(cfg: RunConfig, axis: str, lo: float, hi: float,
              count: int) -> int:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise UsageError(f"scan range must be finite, got {lo!r} {hi!r}")
     if count < 1 or not (lo < hi or (lo == hi and count == 1)):
         raise UsageError("empty scan range")
     values = np.linspace(lo, hi, count)

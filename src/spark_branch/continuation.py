@@ -13,16 +13,19 @@ Euler; the corrector is the extended Newton solve from the steady
 module.  Step size halves on corrector failure and grows by 1.3 after
 two consecutive easy successes.
 
-Every accepted point records two test functions, read off the band LU
-that yields its tangent (Allgower & Georg 2003, ch. 8; Seydel 2010,
-ch. 5): t_lambda, the tangent's lambda component, changes sign at a
-fold in lambda, and det_sign, the sign of det of the bordered Jacobian,
-flips at a simple branch point.  Sign changes between consecutive
-points become Fold and BranchPoint events on Branch.events.  The
-smallest singular value sigma_min of the bordered Jacobian is computed
-only on request (sigma_check), by inverse iteration on the same LU run
-to a residual stop test (steady.smallest_singular): two refined band
-solves per step, a median of 4 steps per point.
+The corrector and the tangent solve the same bordered matrix, so the
+tangent is solved on the corrector's last band LU, formed one Newton
+step before the accepted point; this module factors nothing itself.
+Every accepted point records two test functions read off that LU
+(Allgower & Georg 2003, ch. 8; Seydel 2010, ch. 5): t_lambda, the
+tangent's lambda component, changes sign at a fold in lambda, and
+det_sign, the sign of det of the bordered Jacobian, flips at a simple
+branch point.  Sign changes between consecutive points become Fold and
+BranchPoint events on Branch.events.  The smallest singular value
+sigma_min of the bordered Jacobian is computed only on request
+(sigma_check), by inverse iteration on the same LU run to a residual
+stop test (steady.smallest_singular): two refined band solves per step,
+a median of 4 steps per point.
 
 A trace terminates by classification, never by exception: density or
 voltage beyond the configured caps, a return to the trivial family at
@@ -41,10 +44,11 @@ from .adjoint import NullTriple, pack_triple
 from .electron import boundary_B, solve_electron, sparking_voltage
 from .grid import RadialGrid, integrate
 from .model import Parameters, high_voltage_condition
-from .steady import (NEWTON_TOL, AdmissibilityError, BandLU, NewtonError,
-                     State, admissibility, densities,
-                     dresidual_dlambda, jacobian, newton_solve, pack,
+from .steady import (NEWTON_TOL, AdmissibilityError, NewtonError, State,
+                     admissibility, densities, newton_solve, pack,
                      pack_weights, smallest_singular, trivial_state, unpack)
+# Not called here; perfbench/selftest.py checks that tracing rebinds it.
+from .steady import jacobian  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -190,11 +194,10 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
             last_err = exc
             h *= 0.5
             continue
-        t_new, sigma = tangent_and_sigma(res.state, tangent, p, grid,
-                                         sigma_check)
+        t_new, sigma = tangent_and_sigma(res.lu, grid, sigma_check)
         if t_new is None:
-            # Bordered factorization failed; a secant direction still
-            # lets the trace limp forward.
+            # No corrector LU or a failed tangent solve; a secant
+            # direction still lets the trace limp forward.
             dx = pack(res.state) - x0
             t_new = Tangent(dx, res.state.lam - lam0)
             nrm = np.sqrt(ext_inner(t_new, t_new, grid))
@@ -217,12 +220,13 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
                       current.s, h)
 
 
-def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
-                      grid: RadialGrid, sigma_check: bool = True):
+def tangent_and_sigma(lu, grid: RadialGrid, sigma_check: bool = True):
     """New unit tangent and smallest singular value of the bordered
-    Jacobian [[J, F_lambda], [t_x^T W, t_lambda]] at an accepted point,
-    from a single band LU of J (steady.BandLU).  The tangent carries the
-    sign of det of that bordered matrix, read off the same LU.
+    Jacobian [[J, F_lambda], [t_x^T W, t_lambda]], t the previous
+    tangent, from the corrector's last band LU (NewtonResult.lu), formed
+    at its last iterate, one Newton step from the accepted point.  The
+    tangent carries the sign of det of that bordered matrix, read off
+    the same LU.
 
     The tangent solves the bordered system with right-hand side
     (0, ..., 0, 1) by block elimination plus one refinement step: the
@@ -238,17 +242,14 @@ def tangent_and_sigma(state: State, tangent: Tangent, p: Parameters,
     (steady.smallest_singular: one transposed and one plain bordered
     solve per step, deterministic start, residual stop test), so traces
     stay bit-reproducible; without it no step runs and sigma is None.
-    Returns (None, 0.0) when the factorization or the tangent solve
-    fails, and sigma = NaN when the iteration does.
+    Returns (None, 0.0) when there is no LU or the tangent solve fails,
+    and sigma = NaN when the iteration does.
     """
-    J = jacobian(state, p, grid)
-    col = dresidual_dlambda(state, p, grid)
-    m = J.shape[0] + 1
-    e_last = np.zeros(m)
+    if lu is None:
+        return None, 0.0
+    e_last = np.zeros(lu.size)
     e_last[-1] = 1.0
     try:
-        lu = BandLU(J, grid, col, pack_weights(grid) * tangent.x,
-                    tangent.dlam)
         t_raw = lu.solve(e_last)
     except np.linalg.LinAlgError:
         return None, 0.0
@@ -353,8 +354,8 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
     nonzero sign, so a flip across secant-fallback points (det_sign 0)
     is a BranchPoint over the whole bracket, marked "fallback": True.
     sigma_check adds the bordered
-    sigma_min to every point, from inverse iteration on the tangent's LU
-    run to its residual stop test (two refined band solves per step; a
+    sigma_min to every point, from inverse iteration on the corrector's
+    last LU (tangent_and_sigma) run to its residual stop test (two refined band solves per step; a
     median of 4 and at most 60 steps per point along a 120-point (2,3,1)
     branch at n=129), and warns below SIGMA_WARN or, with sigma_min NaN,
     when the iteration did not converge.

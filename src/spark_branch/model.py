@@ -65,12 +65,13 @@ def _eval(ell, fn):
 def townsend_h(ell, p: Parameters):
     """Ionization rate h(ell) = a*ell*exp(-b/ell) for ell >= 0; h(0) = 0."""
     def fn(arr):
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ValueError("field strength must be nonnegative")
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        out[pos] = p.a * arr[pos] * np.exp(-p.b / arr[pos])
-        return out
+        # At ell = 0 (abs maps -0.0 there) and at subnormal ell, -b/ell
+        # is -inf and exp gives the limit h = 0.
+        ell = np.abs(arr)
+        with np.errstate(divide="ignore", over="ignore"):
+            return p.a * ell * np.exp(-p.b / ell)
     return _eval(ell, fn)
 
 

@@ -110,9 +110,12 @@ class DensityReport:
 
 @dataclass
 class NewtonResult:
+    """lu is the (bordered) BandLU of the last iteration, formed one
+    Newton step before state; None when the guess met the tolerance."""
     state: State
     iters: int
     residual_norm: float
+    lu: "BandLU" = None
 
 
 class AdmissibilityError(ValueError):
@@ -664,7 +667,7 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
     (value, d/d(unknowns), d/d(lambda)), closes the system.  Armijo
     backtracking halves the step until the residual norm decreases;
     failures raise MaxIterExceeded / LineSearchStall / SingularJacobian
-    carrying the last iterate.
+    carrying the last iterate.  NewtonResult.lu keeps the last BandLU.
     """
     rep = admissibility(guess, grid)
     if not rep.ok:
@@ -681,9 +684,10 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
         return rv, norm_Y(rv, grid)
 
     rv, nrm = merit(state)
+    lu = None
     for it in range(max_iter):
         if nrm <= tol:
-            return NewtonResult(state, it, nrm)
+            return NewtonResult(state, it, nrm, lu)
         J = jacobian(state, p, grid)
         if constraint is None:
             border, rhs = (), -rv
@@ -693,7 +697,8 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
                       dc_dlam)
             rhs = -np.append(rv, cval)
         try:
-            full = BandLU(J, grid, *border).solve(rhs)
+            lu = BandLU(J, grid, *border)
+            full = lu.solve(rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"linear solve failed: {exc}",
                                    state, nrm) from exc
@@ -716,6 +721,6 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
         if not accepted:
             raise LineSearchStall("no acceptable step", state, nrm)
     if nrm <= tol:
-        return NewtonResult(state, max_iter, nrm)
+        return NewtonResult(state, max_iter, nrm, lu)
     raise MaxIterExceeded(f"not converged in {max_iter} iterations",
                           state, nrm)

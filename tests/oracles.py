@@ -498,6 +498,63 @@ def svd_probe_reference(lam, p, grid):
 
 
 # ---------------------------------------------------------------------------
+# Townsend law on the positive entries only
+# ---------------------------------------------------------------------------
+# model.townsend_h evaluates a*ell*exp(-b/ell) on the whole array, with
+# exp(-inf) = 0 giving h(0) = 0; this is the former masked form, which
+# writes the positive entries into zeros and never divides by zero.
+
+def townsend_h_masked(ell, p):
+    """h(ell) = a*ell*exp(-b/ell) on the entries ell > 0, 0 elsewhere."""
+    arr = np.asarray(ell, dtype=float)
+    out = np.zeros_like(arr)
+    pos = arr > 0.0
+    out[pos] = p.a * arr[pos] * np.exp(-p.b / arr[pos])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Continuation tangent factored at the accepted point
+# ---------------------------------------------------------------------------
+# The package reads a point's tangent, det_sign and sigma_min off the
+# corrector's last band LU, formed one Newton step before the accepted
+# point (continuation.tangent_and_sigma).  This is the former body,
+# moved verbatim: it assembles J and F_lambda at the accepted point and
+# factors the bordered matrix there, one more LU per point.
+
+def tangent_at_accepted_point(state, tangent, p, grid, sigma_check=True):
+    """Unit tangent and bordered sigma_min from a band LU at the
+    accepted point itself, with the previous tangent as the border row;
+    (None, 0.0) when the factorization or the tangent solve fails."""
+    from spark_branch.continuation import Tangent, ext_inner
+    from spark_branch.steady import (BandLU, dresidual_dlambda, jacobian,
+                                     pack_weights, smallest_singular)
+
+    J = jacobian(state, p, grid)
+    col = dresidual_dlambda(state, p, grid)
+    m = J.shape[0] + 1
+    e_last = np.zeros(m)
+    e_last[-1] = 1.0
+    try:
+        lu = BandLU(J, grid, col, pack_weights(grid) * tangent.x,
+                    tangent.dlam)
+        t_raw = lu.solve(e_last)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    t_new = Tangent(t_raw[:-1], float(t_raw[-1]))
+    nrm = np.sqrt(ext_inner(t_new, t_new, grid))
+    if nrm == 0.0:
+        return None, 0.0
+    t_new = Tangent(t_new.x / nrm, t_new.dlam / nrm, lu.det_sign)
+    if not sigma_check:
+        return t_new, None
+    try:
+        return t_new, smallest_singular(lu)[0]
+    except np.linalg.LinAlgError:
+        return t_new, np.nan
+
+
+# ---------------------------------------------------------------------------
 # Test-only helpers moved out of the package
 # ---------------------------------------------------------------------------
 # Only the tests call these, so they live here, moved verbatim: the

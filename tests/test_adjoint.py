@@ -180,3 +180,6 @@ def test_pack_triple_layout(cache):
     n = cache.grid(129).n
     assert v.shape == (3 * n - 4,)
     assert np.allclose(v[: n - 1], tri.phi_i[1:])
+    # the packed layout is steady.pack's, bit for bit
+    assert np.array_equal(v, np.concatenate(
+        [tri.phi_i[1:], tri.phi_e[1:], tri.phi_v[1:-1]]))

@@ -7,7 +7,9 @@ both orientations, at departure, at the singular trivial state of the
 discrete bifurcation point and along a short trace; a trace run on the
 SuperLU oracle must match the production trace point for point.  The
 determinant sign read off the LU is compared with numpy's slogdet, and
-a counting wrapper pins the factorizations and solves per trace point.
+a counting wrapper pins the factorizations and solves per trace point:
+one factorization per corrector iteration, the tangent solved on the
+last of them.
 """
 
 import numpy as np
@@ -133,7 +135,8 @@ def test_singular_border_raises_everywhere(cache):
     assert not col.any() and t.dlam == 0.0
     with pytest.raises(np.linalg.LinAlgError):
         BandLU(jacobian(st, P1, g), g, col, pack_weights(g) * t.x, 0.0)
-    assert tangent_and_sigma(st, t, P1, g) == (None, 0.0)
+    # no corrector LU, so no tangent: arclength_step takes the secant
+    assert tangent_and_sigma(None, g) == (None, 0.0)
 
     pw = pack_weights(g)
 
@@ -162,12 +165,18 @@ def test_degenerate_jacobian_maps_to_typed_failures(cache, monkeypatch, damage):
     if damage == "zero_column":
         with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
             BandLU(broken(st, P1, g), g)
+        lu = None
+    else:
+        # a bordered LU whose band factor carries a NaN pivot
+        lu = BandLU(jacobian(st, P1, g), g, dresidual_dlambda(st, P1, g),
+                    pack_weights(g) * t.x, t.dlam)
+        lay = _band_layout(g)
+        lu._lu[lay.kl + lay.ku, 0] = np.nan
     monkeypatch.setattr(steady, "jacobian", broken)
-    monkeypatch.setattr(continuation, "jacobian", broken)
     guess = unpack(st.lam, 1.01 * pack(st), g)
     with pytest.raises(SingularJacobian):
         newton_solve(guess, P1, g)
-    assert tangent_and_sigma(st, t, P1, g) == (None, 0.0)
+    assert tangent_and_sigma(lu, g) == (None, 0.0)
 
 
 # ------------------------------------------------------------ trace match
@@ -177,7 +186,6 @@ def test_trace_matches_superlu_trace(short_branch, monkeypatch):
     limits = {"lambda_cap": short_branch.lambda_dagger + 0.05}
     band = trace_branch(P1, g, limits=limits, sigma_check=True)
     monkeypatch.setattr(steady, "BandLU", SuperLUBordered)
-    monkeypatch.setattr(continuation, "BandLU", SuperLUBordered)
     ref = trace_branch(P1, g, limits=limits, sigma_check=True)
     assert ref.termination.kind == band.termination.kind
     assert len(ref.points) == len(band.points)
@@ -296,24 +304,24 @@ def _counting_band_lu(monkeypatch):
             return super().solve(b, trans=trans)
 
     monkeypatch.setattr(steady, "BandLU", Counting)
-    monkeypatch.setattr(continuation, "BandLU", Counting)
     return counts
 
 
-def test_trace_factors_once_per_corrector_iteration_and_tangent(
-        cache, monkeypatch):
-    """A default trace does one factorization and one solve per corrector
-    iteration and per tangent, and no transposed solve; sigma_check adds
-    no factorization, and one transposed and one plain solve per inverse
-    iteration step, at least one step per accepted point."""
+def test_trace_factors_once_per_corrector_iteration(cache, monkeypatch):
+    """A default trace does one factorization per corrector iteration and
+    none for the tangent, which is solved on the corrector's last LU: one
+    solve per iteration and per tangent, and no transposed solve.
+    sigma_check adds no factorization, and one transposed and one plain
+    solve per inverse iteration step, at least one step per accepted
+    point."""
     g = cache.grid(65)
     counts = _counting_band_lu(monkeypatch)
     br = trace_branch(P1, g, limits={"max_steps": 20})
     accepted = len(br.points) - 1
     iters = sum(q.diagnostics["newton_iters"] for q in br.points)
     assert br.termination.kind == "MaxSteps" and accepted == 20
-    assert counts == {"factor": iters + accepted,
-                      "solve": iters + accepted, "trans": 0}
+    assert all(q.diagnostics["det_sign"] != 0 for q in br.points[1:])
+    assert counts == {"factor": iters, "solve": iters + accepted, "trans": 0}
     assert all("sigma_min" not in q.diagnostics for q in br.points)
 
     plain = dict(counts)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PARAMS
+from oracles import tangent_at_accepted_point
 from spark_branch import continuation
 from spark_branch.model import Parameters
 from spark_branch.grid import RadialGrid
@@ -15,7 +16,8 @@ from spark_branch.continuation import (DEFAULT_LIMITS, Branch, BranchPoint,
                                        state_norm, high_voltage_diagnostic,
                                        crossing_events, _diagnostics,
                                        _classify)
-from spark_branch.steady import State, pack, pack_weights, trivial_state
+from spark_branch.steady import (NEWTON_TOL, State, pack, pack_weights,
+                                 trivial_state)
 
 P1 = PARAMS["(2,3,1)"]
 
@@ -300,14 +302,19 @@ def test_secant_tangent_replaces_a_failed_tangent_solve(cache, monkeypatch):
     keeps the orientation of the tangent before it."""
     g = cache.grid(65)
     good = continuation.tangent_and_sigma
+    step = continuation.arclength_step
     seen = []
 
-    def fails_third(state, tangent, *args, **kwargs):
+    def recording_step(current, tangent, *args, **kwargs):
         seen.append(tangent)
+        return step(current, tangent, *args, **kwargs)
+
+    def fails_third(*args, **kwargs):
         if len(seen) == 3:
             return None, 0.0
-        return good(state, tangent, *args, **kwargs)
+        return good(*args, **kwargs)
 
+    monkeypatch.setattr(continuation, "arclength_step", recording_step)
     monkeypatch.setattr(continuation, "tangent_and_sigma", fails_third)
     br = trace_branch(P1, g, limits={"max_steps": 6})
     pts = br.points
@@ -424,3 +431,88 @@ def test_frozen_sets_report_no_events(cache, plain129, branch257_full, key):
         t_lam = [q.diagnostics["t_lambda"] for q in br.points[1:]]
         assert min(t_lam) > 0.0
         assert {q.diagnostics["det_sign"] for q in br.points[1:]} == {1}
+
+
+def _trace_factoring_at_accepted_points(p, grid, monkeypatch, **kwargs):
+    """trace_branch with each tangent from a band LU at the accepted point
+    itself (oracles.tangent_at_accepted_point) instead of the corrector's
+    last LU."""
+    seen = {}
+    step, newton = continuation.arclength_step, continuation.newton_solve
+
+    def recording_step(current, tangent, *args, **kw):
+        seen["tangent"] = tangent
+        return step(current, tangent, *args, **kw)
+
+    def recording_newton(*args, **kw):
+        res = newton(*args, **kw)
+        seen["state"] = res.state
+        return res
+
+    def at_accepted_point(lu, grid, sigma_check=True):
+        return tangent_at_accepted_point(seen["state"], seen["tangent"], p,
+                                         grid, sigma_check)
+
+    monkeypatch.setattr(continuation, "arclength_step", recording_step)
+    monkeypatch.setattr(continuation, "newton_solve", recording_newton)
+    monkeypatch.setattr(continuation, "tangent_and_sigma", at_accepted_point)
+    return trace_branch(p, grid, **kwargs)
+
+
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_tangent_from_corrector_lu_matches_accepted_point_lu(cache, key,
+                                                             monkeypatch):
+    """The corrector's last LU is formed one Newton step before the
+    accepted point, so its tangent and sigma_min differ from those of an
+    LU at the point by the size of that step: largest right after
+    departure, where J is nearly singular, and O(h^2) (the Euler
+    predictor's error) once the corrector converges in one iteration.
+    Over 120 steps at n=129 the steps, det_sign and events agree exactly
+    and lambda to 1e-9.  Measured maxima, points 1-10 / 11-120:
+    |dt_lambda| 2.6e-3 / 5.8e-7 (t_lambda is a component of a unit
+    vector, about 0.01-0.03 here), sigma_min 2.8e-3 / 2.6e-5 relative."""
+    p, g = PARAMS[key], cache.grid(129)
+    kwargs = dict(limits={"max_steps": 120}, sigma_check=True)
+    new = trace_branch(p, g, **kwargs)
+    ref = _trace_factoring_at_accepted_points(p, g, monkeypatch, **kwargs)
+    assert len(new.points) == len(ref.points) == 121
+    assert [q.s for q in new.points] == [q.s for q in ref.points]
+    assert [q.diagnostics["det_sign"] for q in new.points] == \
+        [q.diagnostics["det_sign"] for q in ref.points]
+    assert new.events == ref.events == [] and new.warnings == ref.warnings
+    lam = np.array([[a.state.lam, b.state.lam]
+                    for a, b in zip(new.points, ref.points)])
+    assert np.abs(lam[:, 0] - lam[:, 1]).max() <= 1e-9
+    for span, t_tol, sigma_rtol in ((slice(1, 11), 5e-3, 1e-2),
+                                    (slice(11, None), 2e-6, 1e-4)):
+        a = [q.diagnostics for q in new.points[span]]
+        b = [q.diagnostics for q in ref.points[span]]
+        assert max(abs(x["t_lambda"] - y["t_lambda"])
+                   for x, y in zip(a, b)) <= t_tol
+        np.testing.assert_allclose([x["sigma_min"] for x in a],
+                                   [y["sigma_min"] for y in b],
+                                   rtol=sigma_rtol)
+
+
+@pytest.mark.parametrize("n, cap_offset", [(257, 0.15), (2049, 0.003)])
+@pytest.mark.parametrize("gamma", [0.8, 1.025, 1.25])
+def test_voltage_capped_traces_stay_clear_of_slow_correctors(n, cap_offset,
+                                                             gamma):
+    """(2,3,gamma) traced to lambda_dagger + cap_offset, at the two ends
+    and the middle of gamma in [0.8, 1.25]: the trace ends VoltageBlowup
+    at the first point past the cap, and every point before it is
+    positive, converged to NEWTON_TOL and corrected in at most 2
+    iterations.  A slower corrector below the cap means the cap has run
+    into the tolerance artifact at the branch end; the tangent's LU
+    moving one Newton step back shrinks that margin most at n=2049 and
+    gamma=0.8."""
+    p, g = Parameters(2.0, 3.0, gamma), RadialGrid(n)
+    cap = sparking_voltage(p, g).lambda_dagger + cap_offset
+    br = trace_branch(p, g, limits={"lambda_cap": cap})
+    pts = br.points
+    assert br.termination.kind == "VoltageBlowup"
+    assert len(pts) >= 3 and pts[-2].state.lam <= cap < pts[-1].state.lam
+    for q in pts[1:]:
+        d = q.diagnostics
+        assert d["positive"] and d["residual_norm"] <= NEWTON_TOL
+        assert d["newton_iters"] <= 2, (q.s, q.state.lam, d["newton_iters"])

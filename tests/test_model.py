@@ -1,8 +1,11 @@
 """Closed-form model ingredients: Townsend law, g, harmonic profile."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import townsend_h_masked
 from spark_branch.model import (Parameters, townsend_h, townsend_h_prime,
                                 g_fn, g_prime, harmonic_H, harmonic_dH,
                                 in_gamma_region, high_voltage_condition)
@@ -30,6 +33,24 @@ def test_townsend_h_basics():
     assert np.all(vals >= 0.0)
     with pytest.raises(ValueError):
         townsend_h(-1.0, P)
+
+
+def test_townsend_h_matches_the_masked_form_bit_for_bit():
+    """h(0) comes from exp(-b/0) = exp(-inf) = 0 with no warning, and
+    every entry, zeros, -0.0 and subnormals included, equals the masked
+    form's bits."""
+    rng = np.random.default_rng(3)
+    ell = np.concatenate([[0.0, -0.0, 1e-300, 5e-324, 1e-3, 1e6],
+                          rng.random(500) * 20.0])
+    ell[rng.integers(0, ell.size, 60)] = 0.0
+    for p in (P, Parameters(3.0, 5.0, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = townsend_h(ell, p)
+            h0 = townsend_h(0.0, p)
+        with np.errstate(over="ignore"):     # -b/5e-324 in the masked form
+            assert h.tobytes() == townsend_h_masked(ell, p).tobytes()
+        assert h0 == 0.0 and not np.signbit(h0)
 
 
 def test_townsend_h_prime_matches_difference_quotient():

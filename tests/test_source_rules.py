@@ -159,6 +159,44 @@ def test_sparse_call_detection():
         ("<module>", 12, "scipy.sparse.eye")]
 
 
+# ------------------------------------------------- one LU per iteration
+
+ASSEMBLE_OR_FACTOR = {"jacobian", "dresidual_dlambda", "BandLU"}
+
+
+def _assembly_calls(tree):
+    """(line, name) of every call of jacobian, dresidual_dlambda or
+    BandLU, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name in ASSEMBLE_OR_FACTOR:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_continuation_assembles_and_factors_nothing():
+    # the tangent, det_sign and sigma_min come from the corrector's last
+    # band LU; a second assembly or factorization per point is the cost
+    # that reuse removed
+    path = Path(spark_branch.__file__).parent / "continuation.py"
+    assert _assembly_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_assembly_call_detection():
+    code = ("from .steady import jacobian, BandLU\n"
+            "J = jacobian(s, p, g)\n"
+            "lu = steady.BandLU(J, g)\n"
+            "col = steady.dresidual_dlambda(s, p, g)\n"
+            "f = jacobian\n")
+    assert _assembly_calls(ast.parse(code)) == [
+        (2, "jacobian"), (3, "BandLU"), (4, "dresidual_dlambda")]
+
+
 # ---------------------------------------------------------- reachability
 
 REPO = Path(__file__).resolve().parent.parent
