@@ -21,13 +21,10 @@ lambda-derivative of the linearization against the two null directions; a
 second, independently assembled form (the raw Fredholm pairing) must agree
 with it at the root, and only there.
 
-Discretization note: every row here is assembled at second order (centered
-interior stencils, one-sided boundary stencils).  The steady-state module
-linearizes its upwind transport row instead.  The two matrices share the
-electron, potential and cathode-emission rows (rows n-1 onward): same
-pattern, entries equal up to rounding.  The n-1 transport rows differ in
-both terms: the drift derivative (backward difference there, centered
-here) and the S_e weights (pointwise there, trapezoid [1,2,1]/4 here).
+The discrete linearization is the steady Jacobian at the trivial state
+(steady.trivial_linearization).  Its box-scheme transport rows are the
+trapezoid recursion that builds phi_i here, so the triple annihilates
+them to rounding.
 """
 
 from __future__ import annotations
@@ -36,19 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid
 
 from .electron import ElectronSolution, emission_kernel
 from .grid import (GridFunction, RadialGrid, boundary_derivative,
-                   derivative_all_nodes, derivative_bands, laplacian_bands,
-                   node_dH, node_H, radial_laplacian_all_nodes,
-                   solve_sl_dirichlet, solve_sl_dirichlet_robin,
-                   sturm_liouville_rows, weighted_inner)
+                   derivative_all_nodes, node_dH, node_H,
+                   radial_laplacian_all_nodes, solve_sl_dirichlet,
+                   solve_sl_dirichlet_robin, weighted_inner)
 from .model import (Parameters, g_fn, g_prime, townsend_h,
                     townsend_h_prime)
-from .steady import (BandLU, State, StencilPattern, block_squares,
-                     fill_pattern, pack, smallest_singular, stencil_pattern)
+from .steady import (BandLU, State, block_squares, pack, smallest_singular,
+                     trivial_linearization)
 
 
 @dataclass
@@ -97,78 +92,16 @@ def nullspace_triple(lam: float, u_dagger: ElectronSolution, p: Parameters,
     return NullTriple(phi_i=phi_i, phi_e=u.copy(), phi_v=phi_v)
 
 
-# ---------------------------------------------------------------------------
-# Reduced matrix of the linearization at the trivial state (second order),
-# on steady's packed layout with S_i, S_e and W in the slots of rho_i, R_e
-# and V.  Rows: transport at nodes 1..n-1 (one-sided at the cathode),
-# electron and potential at 1..n-2, and the scalar cathode-emission row.
-# Square of size 3n-4 with 13n-21 nonzeros, filled on a stencil pattern by
-# steady's assembler (fill_pattern), as the Jacobian is.  In the Jacobian's
-# node interleaving it has 6 sub- and 4 superdiagonals, inside the
-# Jacobian's band layout, so svd_probe factors it with steady.BandLU.
-# ---------------------------------------------------------------------------
-
-def _linearized_pattern(grid: RadialGrid) -> StencilPattern:
-    n = grid.n
-    interior, cathode = np.arange(1, n - 1), np.array([n - 1])
-    return stencil_pattern(n, (
-        (interior, (("rho_i", (-1, 1)), ("R_e", (-1, 0, 1)))),      # transport
-        (cathode, (("rho_i", (-2, -1, 0)), ("R_e", (-2, -1, 0)))),
-        (interior, (("R_e", (-1, 0, 1)),)),                         # electron
-        (interior, (("rho_i", (0,)), ("R_e", (0,)), ("V", (-1, 0, 1)))),
-        (cathode, (("rho_i", (0,)), ("R_e", (-2, -1, 0))))))        # emission
-
-
-def _trivial_coefficients(lam, p, grid):
-    """h(lambda H'), g(lambda H') and e^{-lambda H/2} at the nodes."""
-    ell = lam * node_dH(grid)
-    return townsend_h(ell, p), g_fn(ell, p), np.exp(-0.5 * lam * node_H(grid))
-
-
 def pack_triple(triple: NullTriple) -> np.ndarray:
     """The triple on steady's packed unknown layout (steady.pack)."""
     return pack(State(0.0, triple.phi_i, triple.phi_e, triple.phi_v))
 
 
 def linearized_matrix(lam: float, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """Sparse reduced matrix of the four linearized rows at the trivial state.
-
-    Every entry is computed by the same floating-point expression
-    whatever the node; exact zeros are dropped, and the result is
-    canonical CSR (sorted, no duplicates)."""
-    r = grid.r
-    D = derivative_bands(grid)
-    h, q, emh = _trivial_coefficients(lam, p, grid)
-
-    # Transport rows, finite-volume form: 2 k_i lam S_i' - k_e r^2 h e^{-lam H/2} S_e
-    # integrated over the two-cell stencil and divided by 2 delta r_j^2.  The
-    # zeroth-order term carries the trapezoid weights [1,2,1]/4 ([-1,2,3]/4 in
-    # the one-sided cathode row), which is exactly the relation the
-    # integral-built phi_i satisfies.
-    coef = 2.0 * p.k_i * lam / r ** 2
-    s = p.k_e * r ** 2 * h * emh
-    transport = np.hstack([
-        coef[1:-1, None] * D[1:-1, 1:4:2],
-        np.array([-0.25, -0.5, -0.25]) * sliding_window_view(s, 3)
-        / r[1:-1, None] ** 2])
-    cathode_transport = np.concatenate([
-        coef[-1] * D[-1, 0:3], np.array([0.25, -0.5, -0.75]) * s[-3:] / r[-1] ** 2])
-
-    # electron rows: -(S_e'' + (2/r) S_e') - g S_e
-    electron = np.column_stack(sturm_liouville_rows(grid, q))[1:-1]
-
-    # potential rows: lap W - S_i + e^{-lam H/2} S_e
-    potential = np.hstack([np.full_like(emh[1:-1, None], -1.0), emh[1:-1, None],
-                           laplacian_bands(grid)[1:-1, 2:5]])
-
-    # cathode-emission row
-    emission = np.concatenate([
-        [-p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam)],
-        D[-1, 0:3] + [0.0, 0.0, 0.25 * lam]])
-
-    return fill_pattern(grid.cached("linearized_pattern", _linearized_pattern),
-                        (transport, cathode_transport, electron, potential,
-                         emission))
+    """Sparse reduced matrix of the four linearized rows at the trivial
+    state, on steady's packed layout with S_i, S_e and W in the slots of
+    rho_i, R_e and V: the steady Jacobian there."""
+    return trivial_linearization(lam, p, grid)
 
 
 def nullspace_residual(lam: float, triple: NullTriple, p: Parameters,
@@ -250,6 +183,12 @@ def transversality_crosscheck(lam: float, triple: NullTriple, w_sol: AdjointSolu
 # ---------------------------------------------------------------------------
 # Discrete adjoint identity
 # ---------------------------------------------------------------------------
+
+def _trivial_coefficients(lam, p, grid):
+    """h(lambda H'), g(lambda H') and e^{-lambda H/2} at the nodes."""
+    ell = lam * node_dH(grid)
+    return townsend_h(ell, p), g_fn(ell, p), np.exp(-0.5 * lam * node_H(grid))
+
 
 def _forward_rows(lam, S_i, S_e, W, p, grid):
     """The four linearized rows evaluated at every node (end rows use

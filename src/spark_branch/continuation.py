@@ -232,11 +232,7 @@ def tangent_and_sigma(lu, grid: RadialGrid, sigma_check: bool = True):
     (0, ..., 0, 1) by block elimination plus one refinement step: the
     state rows force an extended null direction of the Jacobian, the
     border row pins a positive projection onto the previous tangent, so
-    orientation carries over without a sign check.  A secant would do
-    almost as well except at departure, where the first step also
-    absorbs the one-time offset between the continuum sparking voltage
-    and the discrete bifurcation point; that offset sits mostly in the
-    lambda component and would poison a secant.
+    orientation carries over without a sign check.
 
     With sigma_check, sigma comes from inverse iteration on the same LU
     (steady.smallest_singular: one transposed and one plain bordered

@@ -48,8 +48,8 @@ class RadialGrid:
     def cached(self, key: str, build):
         """Per-grid memo for derived operators and layouts (the stencil
         band tables, H and H' at the nodes, packed weights, the
-        Sturm-Liouville rows and Robin cathode row, the stencil patterns
-        of the Jacobian and the linearization, the band layout):
+        Sturm-Liouville rows and Robin cathode row, the Jacobian's
+        stencil pattern and band layout):
         build(self) runs on the first request for key, later requests
         share its value."""
         try:

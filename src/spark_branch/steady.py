@@ -14,26 +14,32 @@ and V with Phi = V + lambda H.  The residual rows are
                            - gamma (k_i/k_e) e^{lambda/2} (V'(2)+lambda/2) rho_i(2)
 
 with rho_i, R_e, V vanishing at the anode and V also at the cathode.  F1
-is differenced upwind (backward; the field points from anode to cathode
-on admissible states), F2 and F3 use centered stencils, and F4 replaces
-the cathode PDE row of R_e.  The Jacobian differentiates these discrete
-formulas exactly, so the Jacobian at the trivial state is the upwind
-discretization of the linearized operator there, and
-trivial_linearization is just that Jacobian.  Unknown vector layout:
-rho_i at nodes 1..n-1, R_e at nodes 1..n-1, V at nodes 1..n-2.
+is Keller's box scheme (Keller 1971; Ascher, Mattheij & Russell 1995,
+sec. 5.1): with flux = r^2 rho_i Phi' and q = r^2 h(|Phi'|) e^{-lambda H/2} R_e,
 
-Assembly.  One assembler builds every sparse operator on the packed
-layout: the Jacobian here and adjoint.linearized_matrix.  An operator's
-sparsity pattern is a tuple of row blocks (nodes, stencil) and depends
-only on the grid, so it is built once per grid (StencilPattern, kept in
-the grid's cache) with vectorized numpy; each call then fills one value
-slab per row block (fill_pattern).  Every Jacobian entry is computed
-from the grid's derivative_bands and laplacian_bands (the stencil
-coefficients, read off the vector forms) by the same floating-point
-expression, in the same order, as the product of stencil matrices it
-differentiates, and exact zeros are dropped; the CSR result is therefore
-bit-identical to composing the blocks with scipy.sparse (tests/oracles.py
-keeps that composition as the reference).
+  F1_j = (k_i/r_j^2)(flux_j - flux_{j-1})/delta
+           - (k_e/(2 r_j^2))(q_{j-1} + q_j),
+
+the trapezoid rule over the cell [r_{j-1}, r_j], an explicit recursion
+for rho_i.  F2 and F3 use centered stencils, and F4 replaces the cathode
+PDE row of R_e.  The Jacobian differentiates these discrete formulas
+exactly, and trivial_linearization is the Jacobian at the trivial state.
+There the box row is the trapezoid recursion that builds phi_i
+(adjoint.nullspace_triple), so the continuum null triple annihilates the
+transport rows to rounding and the matrix goes singular at the sparking
+voltage itself.  Unknown vector layout: rho_i at nodes 1..n-1, R_e at
+nodes 1..n-1, V at nodes 1..n-2.
+
+Assembly.  The Jacobian's sparsity pattern is a tuple of row blocks
+(nodes, stencil) and depends only on the grid, so it is built once per
+grid (StencilPattern, kept in the grid's cache) with vectorized numpy;
+each call then fills one value slab per row block (fill_pattern).
+Every Jacobian entry is computed from the grid's derivative_bands and
+laplacian_bands (the stencil coefficients, read off the vector forms) by
+the same floating-point expression, in the same order, as the product
+of stencil matrices it differentiates, and exact zeros are dropped; the
+CSR result is therefore bit-identical to composing the blocks with
+scipy.sparse (tests/oracles.py keeps that composition as the reference).
 
 Linear solves.  Ordered node by node, rows (F1_j, F2_j, F3_j) against
 unknowns (rho_i(j), R_e(j), V(j)) with F4 in the cathode R_e slot, every
@@ -178,7 +184,6 @@ def field(state: State, grid: RadialGrid) -> np.ndarray:
 
 
 def residual(state: State, p: Parameters, grid: RadialGrid) -> Residual:
-    n = grid.n
     r = grid.r
     d = grid.delta
     lam = state.lam
@@ -189,8 +194,9 @@ def residual(state: State, p: Parameters, grid: RadialGrid) -> Residual:
     E = field(state, grid)
     hE = townsend_h(np.abs(E), p)
     flux = r ** 2 * state.rho_i * E
+    q = r ** 2 * hE * emh * state.R_e
     F1 = (p.k_i / r[1:] ** 2) * (flux[1:] - flux[:-1]) / d \
-        - p.k_e * hE[1:] * emh[1:] * state.R_e[1:]
+        - (0.5 * p.k_e / r[1:] ** 2) * (q[:-1] + q[1:])
 
     DV = derivative_all_nodes(state.V, grid)
     DRe = derivative_all_nodes(state.R_e, grid)
@@ -243,7 +249,7 @@ def _block_columns(n):
 
 # Row stencils of the four residual blocks: (block, node offsets) in
 # column order.  A row at node j may touch node j + o of each block.
-_F1_STENCIL = (("rho_i", (-1, 0)), ("R_e", (0,)), ("V", (-2, -1, 0, 1)))
+_F1_STENCIL = (("rho_i", (-1, 0)), ("R_e", (-1, 0)), ("V", (-2, -1, 0, 1)))
 _F2_STENCIL = (("R_e", (-1, 0, 1)), ("V", (-1, 0, 1)))
 _F3_STENCIL = (("rho_i", (0,)), ("R_e", (0,)), ("V", (-1, 0, 1)))
 _F4_STENCIL = (("rho_i", (0,)), ("R_e", (-2, -1, 0)), ("V", (-2, -1)))
@@ -251,8 +257,8 @@ _F4_STENCIL = (("rho_i", (0,)), ("R_e", (-2, -1, 0)), ("V", (-2, -1)))
 
 @dataclass(frozen=True)
 class StencilPattern:
-    """Fixed sparsity layout of an operator on the packed unknowns of one
-    grid, built from its row blocks (nodes, stencil).  fill_pattern takes
+    """Fixed sparsity layout of the Jacobian on the packed unknowns of
+    one grid, built from its row blocks (nodes, stencil).  fill_pattern takes
     one dense slab per row block, a row per node and a column per stencil
     entry; keep marks the in-range entries of the concatenated slabs,
     which in CSR order match indices and indptr."""
@@ -274,12 +280,15 @@ def _stencil_slab(nodes, stencil, blocks):
     return np.array(base) + k, (k >= 1) & (k <= np.array(top))
 
 
-def stencil_pattern(n: int, row_blocks: tuple) -> StencilPattern:
-    """Pattern of the row blocks (nodes, stencil), in row order, each
-    stencil in column order like the Jacobian's row stencils above."""
+def _jacobian_pattern(grid: RadialGrid) -> StencilPattern:
+    """Pattern of the Jacobian's row blocks (nodes, stencil), in row
+    order."""
+    n = grid.n
+    interior = np.arange(1, n - 1)
     blocks = _block_columns(n)
-    slabs = [_stencil_slab(nodes, stencil, blocks)
-             for nodes, stencil in row_blocks]
+    slabs = [_stencil_slab(nodes, stencil, blocks) for nodes, stencil in (
+        (np.arange(1, n), _F1_STENCIL), (interior, _F2_STENCIL),
+        (interior, _F3_STENCIL), (np.array([n - 1]), _F4_STENCIL))]
     cols = np.concatenate([c.ravel() for c, _ in slabs])
     keep = np.concatenate([m.ravel() for _, m in slabs])
     counts = np.concatenate([m.sum(axis=1) for _, m in slabs])
@@ -300,13 +309,17 @@ def fill_pattern(pat: StencilPattern, slabs) -> scipy.sparse.csr_matrix:
     return A
 
 
-def _jacobian_pattern(grid: RadialGrid) -> StencilPattern:
-    n = grid.n
-    interior = np.arange(1, n - 1)
-    return stencil_pattern(n, ((np.arange(1, n), _F1_STENCIL),
-                               (interior, _F2_STENCIL),
-                               (interior, _F3_STENCIL),
-                               (np.array([n - 1]), _F4_STENCIL)))
+def _coefficients(state: State, p: Parameters, grid: RadialGrid) -> tuple:
+    """(H', H, e^{-lambda H/2}, E, sign E, h(|E|), h'(|E|), V') at the
+    nodes, E the field: the coefficients of the Jacobian and of
+    dresidual_dlambda.  The residual skips h', which it never needs."""
+    dH = node_dH(grid)
+    H = node_H(grid)
+    emh = np.exp(-0.5 * state.lam * H)
+    E = field(state, grid)
+    absE = np.abs(E)
+    return (dH, H, emh, E, np.sign(E), townsend_h(absE, p),
+            townsend_h_prime(absE, p), derivative_all_nodes(state.V, grid))
 
 
 def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_matrix:
@@ -321,30 +334,26 @@ def jacobian(state: State, p: Parameters, grid: RadialGrid) -> scipy.sparse.csr_
     r = grid.r
     d = grid.delta
     lam = state.lam
-    dH = node_dH(grid)
-    H = node_H(grid)
-    emh = np.exp(-0.5 * lam * H)
+    dH, _, emh, E, sgnE, hE, hpE, DV = _coefficients(state, p, grid)
 
-    E = field(state, grid)
-    absE = np.abs(E)
-    sgnE = np.sign(E)
-    hE = townsend_h(absE, p)
-    hpE = townsend_h_prime(absE, p)
-
-    # F1 rows.  flux = r^2 rho E, F1_j = k_i (flux_j - flux_{j-1})/(r_j^2 d) - ...
+    # F1 rows, the box scheme: F1_j = k_i (flux_j - flux_{j-1})/(r_j^2 d)
+    # - k_e (q_{j-1} + q_j)/(2 r_j^2), flux = r^2 rho E and
+    # q = r^2 h(|E|) e^{-lam H/2} R_e.
     scale = (p.k_i / (r[1:] ** 2 * d))[:, None]
+    half = (0.5 * p.k_e / r[1:] ** 2)[:, None]
     a = r ** 2 * E
     w = r ** 2 * state.rho_i
-    q = p.k_e * hpE * sgnE * emh * state.R_e
+    s = r ** 2 * hE * emh                           # dq/dR_e
+    qE = r ** 2 * hpE * sgnE * emh * state.R_e      # dq/dE
+    D0 = Db[:-1, 1:5]           # D[j-1, j-2..j+1]
     D1 = Db[1:, 0:4]            # D[j, j-2..j+1]
     slab1 = np.hstack([
         scale * -a[:-1, None], scale * a[1:, None],
-        (-p.k_e * hE[1:] * emh[1:])[:, None],
-        scale * (w[1:, None] * D1 - w[:-1, None] * Db[:-1, 1:5])
-        - q[1:, None] * D1])
+        -half * s[:-1, None], -half * s[1:, None],
+        scale * (w[1:, None] * D1 - w[:-1, None] * D0)
+        - half * (qE[:-1, None] * D0 + qE[1:, None] * D1)])
 
     # F2 rows.
-    DV = derivative_all_nodes(state.V, grid)
     DRe = derivative_all_nodes(state.R_e, grid)
     lapV = radial_laplacian_all_nodes(state.V, grid)
     c = 0.5 * lam * DV * dH - lapV + 0.25 * lam ** 2 * dH ** 2 - hE
@@ -587,23 +596,15 @@ def smallest_singular(lu: BandLU, deflated: BandLU = None):
 def dresidual_dlambda(state: State, p: Parameters, grid: RadialGrid) -> np.ndarray:
     """Partial derivative of the residual vector in lambda, state held
     fixed; used by the extended (arclength) corrector."""
-    n = grid.n
     r = grid.r
     d = grid.delta
     lam = state.lam
-    dH = node_dH(grid)
-    H = node_H(grid)
-    emh = np.exp(-0.5 * lam * H)
-    E = field(state, grid)
-    absE = np.abs(E)
-    sgnE = np.sign(E)
-    hE = townsend_h(absE, p)
-    hpE = townsend_h_prime(absE, p)
-    DV = derivative_all_nodes(state.V, grid)
+    dH, H, emh, _, sgnE, hE, hpE, DV = _coefficients(state, p, grid)
 
     flux_lam = r ** 2 * state.rho_i * dH
+    q_lam = r ** 2 * (hpE * sgnE * dH - 0.5 * H * hE) * emh * state.R_e
     dF1 = (p.k_i / r[1:] ** 2) * (flux_lam[1:] - flux_lam[:-1]) / d \
-        - p.k_e * (hpE * sgnE * dH - 0.5 * H * hE)[1:] * emh[1:] * state.R_e[1:]
+        - (0.5 * p.k_e / r[1:] ** 2) * (q_lam[:-1] + q_lam[1:])
     dc = 0.5 * DV * dH + 0.5 * lam * dH ** 2 - hpE * sgnE * dH
     dF2 = (dc * state.R_e)[1:-1]
     dF3 = (-0.5 * H * emh * state.R_e)[1:-1]
@@ -633,8 +634,9 @@ def ion_consistency(state: State, p: Parameters, grid: RadialGrid) -> float:
         rho_i(r) = (k_e/k_i) (r^2 dPhi)^{-1}
                      int_1^r t^2 h(|dPhi|) e^{-lambda H/2} R_e dt,
 
-    an independent check that the upwind F1 rows were honored; first
-    order in the grid spacing at converged states."""
+    an independent check that the F1 rows were honored.  The box row is
+    the trapezoid recursion that cumulative_trapezoid sums, so at
+    converged states the gap sits at the rounding floor."""
     rep = admissibility(state, grid)
     if not rep.ok:
         raise AdmissibilityError(

@@ -75,12 +75,10 @@ def discrete_bifurcation_pair(lam_guess: float, direction_guess: np.ndarray,
                               tol: float = 1e-9, max_iter: int = 30):
     """Exact bifurcation point of the DISCRETE steady system.
 
-    The upwind transport discretization shifts the voltage at which the
-    trivial-family Jacobian goes singular by O(delta) relative to the
-    continuum sparking voltage, and tilts the null direction by the same
-    order.  Comparisons of branch departure against "s times the null
-    direction" must use this pair, not the continuum one, or the flavor
-    gap pollutes the remainder at O(delta * s).
+    Started from the continuum pair (lambda_dagger, packed triple) it
+    converges at its first residual check: the box-scheme transport rows
+    are the trapezoid recursion that builds phi_i, so the triple is a
+    discrete null vector to rounding.
 
     Newton on the extended system {L(lam) phi = 0, <c, phi> = 1} with c
     the weighted guess direction and L(lam) the steady Jacobian at the

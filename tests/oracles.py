@@ -232,14 +232,18 @@ def jacobian_reference(state, p, grid):
     def diags(v):
         return scipy.sparse.diags(v, format="csr")
 
+    # box row: k_i (flux_j - flux_{j-1})/(r_j^2 d) - k_e (q_{j-1} + q_j)/(2 r_j^2)
     scale = p.k_i / (r[1:] ** 2 * d)
+    half = 0.5 * p.k_e / r[1:] ** 2
     J1i = (diags(scale) @ (diags((r ** 2 * E)[1:]) @ _eye_rows(n, 1, 0)
                            - diags((r ** 2 * E)[:-1]) @ _eye_rows(n, 1, -1)))[:, cols_i]
-    J1e = scipy.sparse.diags(-p.k_e * hE[1:] * emh[1:], offsets=1,
-                             shape=(n - 1, n), format="csr")[:, cols_e]
+    s = r ** 2 * hE * emh
+    J1e = -(diags(half) @ (diags(s[:-1]) @ _eye_rows(n, 1, -1)
+                           + diags(s[1:]) @ _eye_rows(n, 1, 0)))[:, cols_e]
     P = diags(r ** 2 * state.rho_i) @ D
+    Q = diags(r ** 2 * hpE * sgnE * emh * state.R_e) @ D
     J1v = (diags(scale) @ (P[1:, :] - P[:-1, :])
-           - diags((p.k_e * hpE * sgnE * emh * state.R_e)[1:]) @ D[1:, :])[:, cols_v]
+           - diags(half) @ (Q[:-1, :] + Q[1:, :]))[:, cols_v]
 
     DV = derivative_all_nodes(state.V, grid)
     DRe = derivative_all_nodes(state.R_e, grid)
@@ -273,8 +277,8 @@ def jacobian_reference(state, p, grid):
 
 def trivial_linearization_reference(lam, p, grid):
     """Linearized operator at the trivial state composed from
-    scipy.sparse stencil matrices with the steady module's upwind ion
-    row; the package takes the Jacobian at the trivial state instead."""
+    scipy.sparse stencil matrices with the steady module's box ion row;
+    the package takes the Jacobian at the trivial state instead."""
     import scipy.sparse
     from spark_branch.grid import node_dH, node_H
     from spark_branch.model import g_fn, townsend_h
@@ -290,12 +294,16 @@ def trivial_linearization_reference(lam, p, grid):
     L = laplacian_matrix_reference(grid)
     rows_int = slice(1, n - 1)
 
-    # L1: 2 k_i lambda / r^2 backward difference - k_e h emh S_e
+    # L1: 2 k_i lambda / r^2 backward difference - k_e/(2 r^2) times the
+    # trapezoid sum of r^2 h emh S_e over the cell
     coef = 2.0 * p.k_i * lam / (r[1:] ** 2 * d)
+    half = 0.5 * p.k_e / r[1:] ** 2
+    s = r ** 2 * h * emh
     L1i = (scipy.sparse.diags(coef)
            @ (_eye_rows(n, 1, 0) - _eye_rows(n, 1, -1)))[:, 1:]
-    L1e = scipy.sparse.diags(-p.k_e * h[1:] * emh[1:], offsets=1,
-                             shape=(n - 1, n), format="csr")[:, 1:]
+    L1e = -(scipy.sparse.diags(half)
+            @ (scipy.sparse.diags(s[:-1]) @ _eye_rows(n, 1, -1)
+               + scipy.sparse.diags(s[1:]) @ _eye_rows(n, 1, 0)))[:, 1:]
     L1v = scipy.sparse.csr_matrix((n - 1, n - 2))
 
     L2e = (-L - scipy.sparse.diags(g, format="csr"))[rows_int, 1:]
@@ -407,84 +415,8 @@ class SuperLUBordered:
 
 
 # ---------------------------------------------------------------------------
-# Reduced linearization at the trivial state, assembled densely
+# Singular values of the linearization at the trivial state
 # ---------------------------------------------------------------------------
-# The package fills this (3n-4)-square matrix as sparse CSR on a stencil
-# pattern (steady.fill_pattern); this builds it the way the rows read,
-# node by node into a dense array, and the tests require the two to agree
-# entry for entry.
-
-def linearized_matrix_reference(lam, p, grid):
-    """Dense reduced matrix of the four linearized rows, one node at a time."""
-    from spark_branch.grid import node_dH, node_H, sturm_liouville_rows
-    from spark_branch.model import g_fn, townsend_h
-
-    n = grid.n
-    d = grid.delta
-    r = grid.r
-    ni, ne, nv = n - 1, n - 1, n - 2
-    dim = ni + ne + nv
-    oi, oe, ov = 0, ni, ni + ne
-
-    h = townsend_h(lam * node_dH(grid), p)
-    emh = np.exp(-0.5 * lam * node_H(grid))
-    A = np.zeros((dim, dim))
-    row_oe = n - 1          # first electron row (transport block has n-1 rows)
-    row_ov = row_oe + (n - 2)
-
-    # Transport rows, finite-volume form: 2 k_i lam S_i' - k_e r^2 h e^{-lam H/2} S_e
-    # integrated over the two-cell stencil and divided by 2 delta r_j^2.  The
-    # zeroth-order term carries the trapezoid weights [1,2,1]/4 ([-1,2,3]/4 in
-    # the one-sided cathode row), which is exactly the relation the
-    # integral-built phi_i satisfies.
-    coef = 2.0 * p.k_i * lam / r ** 2
-    s = p.k_e * r ** 2 * h * emh
-    for j in range(1, n - 1):
-        row = j - 1
-        if j >= 2:
-            A[row, oi + j - 2] += coef[j] * (-1.0 / (2 * d))
-            A[row, oe + j - 2] += -0.25 * s[j - 1] / r[j] ** 2
-        A[row, oi + j] += coef[j] * (1.0 / (2 * d))
-        A[row, oe + j - 1] += -0.5 * s[j] / r[j] ** 2
-        A[row, oe + j] += -0.25 * s[j + 1] / r[j] ** 2
-    row = n - 2   # cathode node, one-sided stencils
-    A[row, oi + n - 4] += coef[-1] * (1.0 / (2 * d))
-    A[row, oi + n - 3] += coef[-1] * (-4.0 / (2 * d))
-    A[row, oi + n - 2] += coef[-1] * (3.0 / (2 * d))
-    A[row, oe + n - 4] += 0.25 * s[n - 3] / r[-1] ** 2
-    A[row, oe + n - 3] += -0.5 * s[n - 2] / r[-1] ** 2
-    A[row, oe + n - 2] += -0.75 * s[n - 1] / r[-1] ** 2
-
-    # electron rows at j=1..n-2: -(S_e'' + (2/r) S_e') - g S_e
-    q = g_fn(lam * node_dH(grid), p)
-    sub, diag, sup = sturm_liouville_rows(grid, q)
-    for j in range(1, n - 1):
-        row = row_oe + (j - 1)
-        if j >= 2:
-            A[row, oe + j - 2] += sub[j]
-        A[row, oe + j - 1] += diag[j]
-        A[row, oe + j] += sup[j]
-
-    # potential rows at j=1..n-2: lap W - S_i + e^{-lam H/2} S_e
-    sub0, diag0, sup0 = sturm_liouville_rows(grid, np.zeros(n))
-    for j in range(1, n - 1):
-        row = row_ov + (j - 1)
-        if j >= 2:
-            A[row, ov + j - 2] += -sub0[j]
-        A[row, ov + j - 1] += -diag0[j]
-        if j <= n - 3:
-            A[row, ov + j] += -sup0[j]
-        A[row, oi + j - 1] += -1.0
-        A[row, oe + j - 1] += emh[j]
-
-    # cathode-emission row
-    row = dim - 1
-    A[row, oe + n - 4] += 1.0 / (2 * d)
-    A[row, oe + n - 3] += -4.0 / (2 * d)
-    A[row, oe + n - 2] += 3.0 / (2 * d) + 0.25 * lam
-    A[row, oi + n - 2] += -p.gamma * (p.k_i / p.k_e) * np.exp(0.5 * lam) * (0.5 * lam)
-    return A
-
 
 def svd_probe_reference(lam, p, grid):
     """Two smallest singular values of adjoint.linearized_matrix from a

@@ -251,9 +251,13 @@ def test_criterion_10_local_bifurcation_expansion(cache):
         rems.append(float(np.sqrt(np.dot(pw * dx, dx))))
     slope = float(np.polyfit(np.log(ss), np.log(rems), 1)[0])
     dt = time.perf_counter() - t0
-    ok = slope >= 1.5 and len(ss) == 10 and dt < 60.0
+    # the box ion row puts the discrete bifurcation point at the scanned
+    # root; the slope measured 2.49 (2.07 while the first step absorbed an
+    # O(delta) offset between the two)
+    ok = (abs(lam_star - lam) <= 1e-9 and slope >= 2.3 and len(ss) == 10
+          and dt < 60.0)
     record_criterion(10, "first 10 points: ||x(s) - s phi|| = o(s)", ok,
-                     f"log-log slope {slope:.2f} >= 1.5, "
+                     f"log-log slope {slope:.2f} >= 2.3, "
                      f"|lam* - lam| = {abs(lam_star - lam):.1e}, {dt:.1f}s")
     assert ok
 
@@ -280,26 +284,24 @@ def test_criterion_11_branch_integrity(cache, branch257_full):
     assert ok
 
 
-def test_criterion_12_ion_consistency_refinement(cache, branch257_full,
+def test_criterion_12_ion_consistency_refinement(branch257_full,
                                                  branch129_long):
+    # the box ion row is the trapezoid recursion that ion_consistency
+    # sums, so on both grids the gap sits at the rounding floor of the
+    # density, at every point of the two traces
     t0 = time.perf_counter()
-    g129, g257 = cache.grid(129), cache.grid(257)
     p = PARAMS["(2,3,1)"]
-    s_hi = min(branch129_long.points[-1].s, branch257_full.points[-1].s)
-    checkpoints = np.linspace(0.1, 0.95, 6) * s_hi
-    ratios, c_vals = [], []
-    for sc in checkpoints:
-        pts = {}
-        for g, br in ((g129, branch129_long), (g257, branch257_full)):
-            pt = min(br.points[1:], key=lambda q: abs(q.s - sc))
-            pts[g.n] = ion_consistency(pt.state, p, g) / g.delta
-        c_vals.append(pts[257])
-        ratios.append(pts[257] / pts[129])
-    c_max = max(c_vals)
-    stable = all(0.5 <= rt <= 2.0 for rt in ratios)
+    worst = {}
+    for br in (branch129_long, branch257_full):
+        g = br.grid
+        worst[g.n] = max(ion_consistency(pt.state, p, g)
+                         / max(1.0, pt.diagnostics["sup_rho_i"])
+                         for pt in br.points[1:])
     dt = time.perf_counter() - t0
-    ok = stable and c_max <= 25.0
-    record_criterion(12, "ion balance gap = O(delta), stable C", ok,
-                     f"C up to {c_max:.2f} over s <= {s_hi:.1f}, refinement "
-                     f"ratios {min(ratios):.2f}..{max(ratios):.2f}, {dt:.1f}s")
+    ok = max(worst.values()) <= 1e-11
+    record_criterion(12, "ion balance gap at the rounding floor", ok,
+                     f"gap / max(1, sup rho_i) up to {worst[129]:.1e} "
+                     f"(n=129, s <= {branch129_long.points[-1].s:.1f}), "
+                     f"{worst[257]:.1e} (n=257, s <= "
+                     f"{branch257_full.points[-1].s:.1f}), {dt:.1f}s")
     assert ok

@@ -11,7 +11,6 @@ import pytest
 import scipy.sparse
 
 from oracles import bordered_matrix, jacobian_reference
-from spark_branch.adjoint import linearized_matrix
 from spark_branch.continuation import initial_tangent
 from spark_branch.grid import RadialGrid
 from spark_branch.steady import (admissibility, dresidual_dlambda,
@@ -69,7 +68,6 @@ def test_jacobian_exact_at_perturbed_states(short_branch, seed):
 
 OPERATORS = {
     "jacobian_pattern": lambda g: jacobian(trivial_state(3.5, g), P1, g),
-    "linearized_pattern": lambda g: linearized_matrix(3.5, P1, g),
 }
 
 

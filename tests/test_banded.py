@@ -69,15 +69,17 @@ def test_bandwidth_from_the_pattern(n):
 @pytest.mark.parametrize("n", [33, 65, 257, 1025])
 def test_linearized_matrix_fits_the_band_layout(cache, n):
     """BandLU places entries by flat index, so an entry outside the band
-    would land silently in a wrong slot: the second-order linearization
-    must lie inside the Jacobian's layout (it has 6 sub- and 4
-    superdiagonals there), and its band solve must then be exact."""
+    would land silently in a wrong slot: the linearization, the Jacobian
+    at the trivial state, must lie inside the Jacobian's layout (6 sub-
+    and 5 superdiagonals; its own V entries vanish there, which leaves 6
+    and 3), and its band solve must then be exact."""
     g = cache.grid(n)
     lay = _band_layout(g)
     A = linearized_matrix(cache.spark("(2,3,1)", n).lambda_dagger, P1, g)
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     offset = lay.row_pos[rows] - lay.col_pos[A.indices]
-    assert (offset.max(), -offset.min()) == (6, 4)
+    assert (lay.kl, lay.ku) == (6, 5)
+    assert (offset.max(), -offset.min()) == (6, 3)
     b = np.random.default_rng(n).standard_normal(A.shape[0])
     assert _backward_error(A, BandLU(A, g).solve(b), b) <= BACKWARD_TOL
 

@@ -56,9 +56,9 @@ def test_first_step_length_and_voltage(cache):
         # the state leaves along the tangent: the arclength constraint puts
         # its weighted norm at h up to the curvature correction
         assert state_norm(pt.state, g) == pytest.approx(h, rel=1e-2)
-        # voltage offset from the trace start is the O(delta) gap between
-        # the scanned root and the discrete bifurcation point, plus O(h)
-        assert abs(pt.state.lam - lam) <= 5e-3
+        # the branch leaves the scanned root itself, the discrete
+        # bifurcation point, so the voltage moves by O(h) only
+        assert abs(pt.state.lam - lam) <= 0.05 * h
 
 
 def test_parametrization_gap_halves_with_h(cache):
@@ -76,9 +76,13 @@ def test_parametrization_gap_halves_with_h(cache):
             pt, _, t = arclength_step(pt, t, h, P1, g)
         return pt.state
 
+    # one step or two to the same arclength differ only through the
+    # tangents in the constraints; with no offset between the sparking
+    # voltage and the discrete bifurcation point for the first step to
+    # absorb, the gap shrinks much faster than h (measured ratio 1845)
     gap_full = dist(state_at(0.02, 1), state_at(0.01, 2))
     gap_half = dist(state_at(0.01, 1), state_at(0.005, 2))
-    assert gap_full / gap_half == pytest.approx(2.0, abs=0.3)
+    assert gap_full / gap_half >= 1.7
 
 
 def test_tangent_continuity_along_first_steps(cache):
@@ -467,10 +471,14 @@ def test_tangent_from_corrector_lu_matches_accepted_point_lu(cache, key,
     LU at the point by the size of that step: largest right after
     departure, where J is nearly singular, and O(h^2) (the Euler
     predictor's error) once the corrector converges in one iteration.
-    Over 120 steps at n=129 the steps, det_sign and events agree exactly
-    and lambda to 1e-9.  Measured maxima, points 1-10 / 11-120:
-    |dt_lambda| 2.6e-3 / 5.8e-7 (t_lambda is a component of a unit
-    vector, about 0.01-0.03 here), sigma_min 2.8e-3 / 2.6e-5 relative."""
+    The first step's corrector converges in one iteration, so point 1's
+    tangent comes from an LU at the predictor (h phi, lambda_dagger),
+    whose lambda component is twice the branch's slope (0.0479 against
+    0.0240 at (2,3,1)).  Over 120 steps at n=129 the steps, det_sign
+    and events agree exactly and lambda to 5e-8.  Measured maxima,
+    points 1-10 / 11-120: lambda 1.9e-8 over all points, |dt_lambda|
+    3.0e-2 / 5.6e-7 (t_lambda is a component of a unit vector, about
+    0.01-0.06 here), sigma_min 5.4e-2 / 2.2e-5 relative."""
     p, g = PARAMS[key], cache.grid(129)
     kwargs = dict(limits={"max_steps": 120}, sigma_check=True)
     new = trace_branch(p, g, **kwargs)
@@ -482,8 +490,8 @@ def test_tangent_from_corrector_lu_matches_accepted_point_lu(cache, key,
     assert new.events == ref.events == [] and new.warnings == ref.warnings
     lam = np.array([[a.state.lam, b.state.lam]
                     for a, b in zip(new.points, ref.points)])
-    assert np.abs(lam[:, 0] - lam[:, 1]).max() <= 1e-9
-    for span, t_tol, sigma_rtol in ((slice(1, 11), 5e-3, 1e-2),
+    assert np.abs(lam[:, 0] - lam[:, 1]).max() <= 5e-8
+    for span, t_tol, sigma_rtol in ((slice(1, 11), 5e-2, 1e-1),
                                     (slice(11, None), 2e-6, 1e-4)):
         a = [q.diagnostics for q in new.points[span]]
         b = [q.diagnostics for q in ref.points[span]]

@@ -67,21 +67,19 @@ def test_fd_jacobian_lambda_column(cache):
 
 
 def test_discrete_bifurcation_pair_properties(cache):
-    offsets = {}
+    # the box transport row makes the continuum pair a discrete one: the
+    # pair voltage is the scanned root and phi the normalized triple
     for n in (129, 257):
         g = cache.grid(n)
         lam = cache.spark("(2,3,1)", n).lambda_dagger
         tri = cache.triple("(2,3,1)", n)
         guess = pack(State(lam, tri.phi_i, tri.phi_e, tri.phi_v))
         lam_star, phi = discrete_bifurcation_pair(lam, guess, P1, g)
-        offsets[n] = lam_star - lam
-        # unit weighted norm and proximity to the scanned root
         pw = pack_weights(g)
         assert np.dot(pw * phi, phi) == pytest.approx(1.0, abs=1e-9)
-        assert abs(offsets[n]) <= 5.0 * g.delta
-    # the pair voltage approaches the scanned root at first order: the
-    # offset is the upwind flavor gap and halves with delta
-    assert offsets[129] / offsets[257] == pytest.approx(2.0, abs=0.4)
+        assert abs(lam_star - lam) <= 1e-9
+        unit = guess / np.sqrt(np.dot(pw * guess, guess))
+        assert np.max(np.abs(phi - unit)) <= 1e-9 * np.max(np.abs(unit))
 
 
 @pytest.mark.parametrize("n", [65, 257])
@@ -126,10 +124,12 @@ def test_discrete_bifurcation_pair_assembles_once_per_iteration(key, n, cache,
     lam = cache.spark(key, n).lambda_dagger
     tri = cache.triple(key, n)
     guess = pack(State(lam, tri.phi_i, tri.phi_e, tri.phi_v))
-    discrete_bifurcation_pair(lam, guess, PARAMS[key], g)
+    # started off the root, so that Newton iterates back to it
+    lam_star, _ = discrete_bifurcation_pair(lam + 0.01, guess, PARAMS[key], g)
+    assert abs(lam_star - lam) <= 1e-9
     # one factorization per Newton iteration, one assembly per iteration
     # plus the final residual check
-    assert calls["lu"] >= 1
+    assert calls["lu"] >= 2
     assert calls["L"] == calls["lu"] + 1
 
 
@@ -149,8 +149,8 @@ def test_discrete_bifurcation_pair_nullvector_quality(cache):
 
 
 def test_discrete_bifurcation_pair_stall_is_a_newton_error(cache):
-    # one step cannot converge from the continuum pair: the failure is a
-    # typed corrector error carrying the last iterate and its residual
+    # one step cannot converge from a voltage off the root: the failure is
+    # a typed corrector error carrying the last iterate and its residual
     from spark_branch.steady import MaxIterExceeded, NewtonError
 
     g = cache.grid(129)
@@ -158,10 +158,11 @@ def test_discrete_bifurcation_pair_stall_is_a_newton_error(cache):
     tri = cache.triple("(2,3,1)", 129)
     guess = pack(State(lam, tri.phi_i, tri.phi_e, tri.phi_v))
     with pytest.raises(MaxIterExceeded) as info:
-        discrete_bifurcation_pair(lam, guess, P1, g, max_iter=1)
+        discrete_bifurcation_pair(lam + 0.01, guess, P1, g, max_iter=1)
     assert isinstance(info.value, NewtonError)
     last = info.value.state
-    assert last.lam != lam and abs(last.lam - lam) <= 5.0 * g.delta
+    # the one step moved the voltage most of the way back to the root
+    assert last.lam != lam and abs(last.lam - lam) <= 0.01 ** 2
     assert last.V[0] == last.V[-1] == last.rho_i[0] == 0.0
     assert np.all(np.isfinite(pack(last)))
     assert info.value.residual_norm > 1e-9
