@@ -8,14 +8,19 @@ step solves the steady residual together with the scalar constraint
     <t_x, x - x0>_w + t_lam (lam - lam0) = h
 
 where t = (t_x, t_lam) is the unit tangent at the previous point and
-the inner product carries the r^2 volume weight.  The predictor is
-Euler; the corrector is the extended Newton solve from the steady
-module.  Step size halves on corrector failure and grows by 1.3 after
-two consecutive easy successes.
+the inner product carries the r^2 volume weight.  The branch is smooth
+in s, so the predictor extrapolates (x, lam) in s by the Lagrange
+polynomial through the last three accepted points (Allgower & Georg
+2003, ch. 6): the secant through the last two on the second step, and
+Euler along the departure tangent on the first, which always takes a
+Newton step.  The corrector is the extended Newton solve from the
+steady module.  Step size halves on
+corrector failure and grows by 1.3 after two consecutive easy successes.
 
 The corrector and the tangent solve the same bordered matrix, so the
 tangent is solved on the corrector's last band LU, formed one Newton
-step before the accepted point; this module factors nothing itself.
+step before the accepted point, or at the point itself when the
+prediction already met the tolerance; this module factors nothing.
 Every accepted point records two test functions read off that LU
 (Allgower & Georg 2003, ch. 8; Seydel 2010, ch. 5): t_lambda, the
 tangent's lambda component, changes sign at a fold in lambda, and
@@ -166,22 +171,57 @@ def _diagnostics(state: State, grid: RadialGrid, iters: int,
     }
 
 
-def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
+def predict(path: list, tangent: Tangent, h: float):
+    """Predicted (x, lambda) a step h past the last of the accepted
+    points path, a list of (s, packed state, lambda), oldest first.
+
+    From a lone point it is Euler along the tangent.  Otherwise it is
+    the Lagrange polynomial in s through the last three points (the
+    secant through two) evaluated at s + h: exact for a quadratic path,
+    with an O(h^3) error on a smooth one, and it never reads a tangent.
+    """
+    s_last, x_last, lam_last = path[-1]
+    if len(path) == 1:
+        return x_last + h * tangent.x, lam_last + h * tangent.dlam
+    nodes = path[-3:]
+    target = s_last + h
+    x, lam = 0.0, 0.0
+    for i, (si, xi, li) in enumerate(nodes):
+        w = 1.0
+        for j, (sj, _, _) in enumerate(nodes):
+            if j != i:
+                w *= (target - sj) / (si - sj)
+        x = x + w * xi
+        lam += w * li
+    return x, lam
+
+
+def arclength_step(path: list, tangent: Tangent, h: float,
                    p: Parameters, grid: RadialGrid, h_min: float = H_MIN,
                    tol: float = NEWTON_TOL, sigma_check: bool = False):
-    """One predictor-corrector step, halving h internally on failure.
+    """One predictor-corrector step from the last of the accepted points
+    path, halving h internally on failure.
+
+    path lists the last accepted points as (s, packed state, lambda),
+    oldest first; the predictor extrapolates through them (predict), and
+    the constraint is the hyperplane through the last one normal to
+    tangent.  From a lone point (trace_branch's departure) the
+    prediction is Euler and the corrector takes at least one Newton
+    step: near departure the bordered Jacobian is nearly singular, so a
+    guess within tol can still be far off in lambda, and the later
+    extrapolations through it would carry that error on.
 
     Returns (point, h_used, new_tangent); the point's diagnostics carry
     the test functions t_lambda and det_sign, and sigma_min when
-    sigma_check.  Raises StepFailure once h drops below h_min without a
-    convergent corrector.
+    sigma_check (NaN when the point has no tangent solve).  Raises
+    StepFailure once h drops below h_min without a convergent corrector.
     """
-    x0 = pack(current.state)
-    lam0 = current.state.lam
+    s0, x0, lam0 = path[-1]
     pw = pack_weights(grid)
     last_err = None
     while h >= h_min:
-        guess = unpack(lam0 + h * tangent.dlam, x0 + h * tangent.x, grid)
+        x_pred, lam_pred = predict(path, tangent, h)
+        guess = unpack(lam_pred, x_pred, grid)
 
         def constraint(st, h=h):
             val = (np.dot(pw * tangent.x, pack(st) - x0)
@@ -189,14 +229,15 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
             return val, pw * tangent.x, tangent.dlam
 
         try:
-            res = newton_solve(guess, p, grid, tol=tol, constraint=constraint)
+            res = newton_solve(guess, p, grid, tol=tol, constraint=constraint,
+                               min_iters=int(len(path) == 1))
         except (NewtonError, AdmissibilityError) as exc:
             last_err = exc
             h *= 0.5
             continue
         t_new, sigma = tangent_and_sigma(res.lu, grid, sigma_check)
         if t_new is None:
-            # No corrector LU or a failed tangent solve; a secant
+            # A failed factorization or tangent solve; a secant
             # direction still lets the trace limp forward.
             dx = pack(res.state) - x0
             t_new = Tangent(dx, res.state.lam - lam0)
@@ -208,7 +249,7 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
             t_new = Tangent(t_new.x / nrm, t_new.dlam / nrm)
             if ext_inner(t_new, tangent, grid) < 0.0:
                 t_new = Tangent(-t_new.x, -t_new.dlam)
-        point = BranchPoint(current.s + h, res.state,
+        point = BranchPoint(s0 + h, res.state,
                             _diagnostics(res.state, grid, res.iters,
                                          res.residual_norm))
         point.diagnostics["t_lambda"] = t_new.dlam
@@ -217,7 +258,7 @@ def arclength_step(current: BranchPoint, tangent: Tangent, h: float,
             point.diagnostics["sigma_min"] = sigma
         return point, h, t_new
     raise StepFailure(f"corrector failed down to h={h:.3e}: {last_err}",
-                      current.s, h)
+                      s0, h)
 
 
 def tangent_and_sigma(lu, grid: RadialGrid, sigma_check: bool = True):
@@ -238,21 +279,21 @@ def tangent_and_sigma(lu, grid: RadialGrid, sigma_check: bool = True):
     (steady.smallest_singular: one transposed and one plain bordered
     solve per step, deterministic start, residual stop test), so traces
     stay bit-reproducible; without it no step runs and sigma is None.
-    Returns (None, 0.0) when there is no LU or the tangent solve fails,
+    Returns (None, NaN) when there is no LU or the tangent solve fails,
     and sigma = NaN when the iteration does.
     """
     if lu is None:
-        return None, 0.0
+        return None, np.nan
     e_last = np.zeros(lu.size)
     e_last[-1] = 1.0
     try:
         t_raw = lu.solve(e_last)
     except np.linalg.LinAlgError:
-        return None, 0.0
+        return None, np.nan
     t_new = Tangent(t_raw[:-1], float(t_raw[-1]))
     nrm = np.sqrt(ext_inner(t_new, t_new, grid))
     if nrm == 0.0:
-        return None, 0.0
+        return None, np.nan
     t_new = Tangent(t_new.x / nrm, t_new.dlam / nrm, lu.det_sign)
     if not sigma_check:
         return t_new, None
@@ -354,7 +395,8 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
     last LU (tangent_and_sigma) run to its residual stop test (two refined band solves per step; a
     median of 4 and at most 60 steps per point along a 120-point (2,3,1)
     branch at n=129), and warns below SIGMA_WARN or, with sigma_min NaN,
-    when the iteration did not converge.
+    when the iteration did not converge or the point has no tangent
+    solve (det_sign 0, secant tangent).
     """
     lim = dict(DEFAULT_LIMITS)
     if limits:
@@ -371,6 +413,7 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
 
     start = trivial_state(lam_dagger, grid)
     points = [BranchPoint(0.0, start, _diagnostics(start, grid, 0, 0.0))]
+    path = [(0.0, pack(start), lam_dagger)]     # the last three points
     points[0].diagnostics.update(t_lambda=tangent.dlam, det_sign=0)
     warnings = []
     events = []
@@ -381,13 +424,14 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
     for _ in range(lim["max_steps"]):
         try:
             point, h_used, tangent = arclength_step(
-                points[-1], tangent, h, p, grid, h_min=h_min, tol=tol,
+                path, tangent, h, p, grid, h_min=h_min, tol=tol,
                 sigma_check=sigma_check)
         except StepFailure as exc:
             termination = Termination("NewtonFailure", {
                 "s": exc.s, "h_last": exc.h_last, "error": str(exc)})
             break
         points.append(point)
+        path = path[-2:] + [(point.s, pack(point.state), point.state.lam)]
         found = crossing_events(points[-2], point, len(points) - 1)
         sign = point.diagnostics["det_sign"]
         if signed is not None and signed is not points[-2] \
@@ -421,7 +465,10 @@ def trace_branch(p: Parameters, grid: RadialGrid, limits: dict = None,
         if sigma_check:
             sigma = point.diagnostics["sigma_min"]
             msg = None
-            if np.isnan(sigma):
+            if np.isnan(sigma) and point.diagnostics["det_sign"] == 0:
+                msg = (f"no tangent solve at s={point.s:.6f}: "
+                       f"sigma_min not computed (secant tangent)")
+            elif np.isnan(sigma):
                 msg = (f"sigma_min inverse iteration did not converge at "
                        f"s={point.s:.6f}")
             elif sigma < SIGMA_WARN:

@@ -117,7 +117,9 @@ class DensityReport:
 @dataclass
 class NewtonResult:
     """lu is the (bordered) BandLU of the last iteration, formed one
-    Newton step before state; None when the guess met the tolerance."""
+    Newton step before state.  When the guess met the tolerance it is the
+    bordered LU at state itself with a constraint, and None without one
+    or when that factorization failed."""
     state: State
     iters: int
     residual_norm: float
@@ -661,7 +663,7 @@ def densities(state: State, grid: RadialGrid) -> DensityReport:
 
 def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                 constraint=None) -> NewtonResult:
+                 constraint=None, min_iters: int = 0) -> NewtonResult:
     """Damped Newton on the discrete residual.
 
     Without a constraint lambda stays frozen.  With one, lambda is an
@@ -669,7 +671,10 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
     (value, d/d(unknowns), d/d(lambda)), closes the system.  Armijo
     backtracking halves the step until the residual norm decreases;
     failures raise MaxIterExceeded / LineSearchStall / SingularJacobian
-    carrying the last iterate.  NewtonResult.lu keeps the last BandLU.
+    carrying the last iterate.  NewtonResult.lu keeps the last BandLU; a
+    constrained guess that already meets tol is returned with iters 0
+    and the bordered LU at the guess (None if that factorization fails).
+    min_iters Newton steps run even when the guess already meets tol.
     """
     rep = admissibility(guess, grid)
     if not rep.ok:
@@ -685,19 +690,29 @@ def newton_solve(guess: State, p: Parameters, grid: RadialGrid,
             return rv, float(np.hypot(norm_Y(rv, grid), cval))
         return rv, norm_Y(rv, grid)
 
+    def linearize(st, rv):
+        J = jacobian(st, p, grid)
+        if constraint is None:
+            return J, (), -rv
+        cval, dc_dx, dc_dlam = constraint(st)
+        border = (dresidual_dlambda(st, p, grid), np.asarray(dc_dx), dc_dlam)
+        return J, border, -np.append(rv, cval)
+
     rv, nrm = merit(state)
     lu = None
+    if nrm <= tol and constraint is not None and not min_iters:
+        # The caller reads its tangent off the bordered LU; a converged
+        # guess gets one at the guess itself, unless that is singular.
+        J, border, _ = linearize(state, rv)
+        try:
+            lu = BandLU(J, grid, *border)
+        except np.linalg.LinAlgError:
+            pass
+        return NewtonResult(state, 0, nrm, lu)
     for it in range(max_iter):
-        if nrm <= tol:
+        if nrm <= tol and it >= min_iters:
             return NewtonResult(state, it, nrm, lu)
-        J = jacobian(state, p, grid)
-        if constraint is None:
-            border, rhs = (), -rv
-        else:
-            cval, dc_dx, dc_dlam = constraint(state)
-            border = (dresidual_dlambda(state, p, grid), np.asarray(dc_dx),
-                      dc_dlam)
-            rhs = -np.append(rv, cval)
+        J, border, rhs = linearize(state, rv)
         try:
             lu = BandLU(J, grid, *border)
             full = lu.solve(rhs)

@@ -457,7 +457,7 @@ def townsend_h_masked(ell, p):
 def tangent_at_accepted_point(state, tangent, p, grid, sigma_check=True):
     """Unit tangent and bordered sigma_min from a band LU at the
     accepted point itself, with the previous tangent as the border row;
-    (None, 0.0) when the factorization or the tangent solve fails."""
+    (None, NaN) when the factorization or the tangent solve fails."""
     from spark_branch.continuation import Tangent, ext_inner
     from spark_branch.steady import (BandLU, dresidual_dlambda, jacobian,
                                      pack_weights, smallest_singular)
@@ -472,11 +472,11 @@ def tangent_at_accepted_point(state, tangent, p, grid, sigma_check=True):
                     tangent.dlam)
         t_raw = lu.solve(e_last)
     except np.linalg.LinAlgError:
-        return None, 0.0
+        return None, np.nan
     t_new = Tangent(t_raw[:-1], float(t_raw[-1]))
     nrm = np.sqrt(ext_inner(t_new, t_new, grid))
     if nrm == 0.0:
-        return None, 0.0
+        return None, np.nan
     t_new = Tangent(t_new.x / nrm, t_new.dlam / nrm, lu.det_sign)
     if not sigma_check:
         return t_new, None

@@ -20,9 +20,10 @@ from spark_branch import continuation, steady
 from spark_branch.adjoint import linearized_matrix
 from spark_branch.continuation import (initial_tangent, tangent_and_sigma,
                                        trace_branch)
-from spark_branch.steady import (BandLU, SingularJacobian, _band_layout,
-                                 dresidual_dlambda, jacobian, newton_solve,
-                                 pack, pack_weights, trivial_state, unpack)
+from spark_branch.steady import (NEWTON_TOL, BandLU, SingularJacobian,
+                                 _band_layout, dresidual_dlambda, jacobian,
+                                 newton_solve, pack, pack_weights,
+                                 trivial_state, unpack)
 from spark_branch.validation import discrete_bifurcation_pair
 
 from conftest import PARAMS
@@ -127,6 +128,39 @@ def test_bordered_and_plain_solves_along_short_trace(short_branch):
             assert _backward_error(M, x, b) <= BACKWARD_TOL
 
 
+def test_converged_constrained_guess_is_factored_at_the_guess(short_branch):
+    """A constrained guess that already meets the tolerance comes back
+    with 0 iterations and the bordered LU at the guess itself: the
+    Jacobian it holds is the one at the guess, and its tangent and
+    det_sign are those of a fresh factorization there.  With min_iters=1
+    it takes one Newton step from the guess instead."""
+    g = short_branch.grid
+    pw = pack_weights(g)
+    prev, point = short_branch.points[9:11]
+    st = point.state
+    x0, dx = pack(prev.state), pack(st) - pack(prev.state)
+    dlam = st.lam - prev.state.lam
+    h = np.dot(pw * dx, dx) + dlam * dlam
+
+    def constraint(s):
+        val = np.dot(pw * dx, pack(s) - x0) + dlam * (s.lam - prev.state.lam)
+        return val - h, pw * dx, dlam
+
+    res = newton_solve(st, P1, g, constraint=constraint)
+    assert res.iters == 0 and res.state.lam == st.lam
+    J = jacobian(st, P1, g)
+    assert (res.lu._J != J).nnz == 0
+    fresh = BandLU(J, g, dresidual_dlambda(st, P1, g), pw * dx, dlam)
+    assert res.lu.det_sign == fresh.det_sign
+    e_last = np.zeros(fresh.size)
+    e_last[-1] = 1.0
+    assert np.array_equal(res.lu.solve(e_last), fresh.solve(e_last))
+
+    stepped = newton_solve(st, P1, g, constraint=constraint, min_iters=1)
+    assert stepped.iters == 1 and stepped.residual_norm <= NEWTON_TOL
+    assert (stepped.lu._J != J).nnz == 0
+
+
 # -------------------------------------------------------------- failures
 
 def test_singular_border_raises_everywhere(cache):
@@ -137,16 +171,23 @@ def test_singular_border_raises_everywhere(cache):
     assert not col.any() and t.dlam == 0.0
     with pytest.raises(np.linalg.LinAlgError):
         BandLU(jacobian(st, P1, g), g, col, pack_weights(g) * t.x, 0.0)
-    # no corrector LU, so no tangent: arclength_step takes the secant
-    assert tangent_and_sigma(None, g) == (None, 0.0)
+    # no bordered LU, so no tangent and no sigma_min: arclength_step
+    # takes the secant
+    t_none, sigma = tangent_and_sigma(None, g)
+    assert t_none is None and np.isnan(sigma)
 
     pw = pack_weights(g)
 
-    def constraint(s):
-        return np.dot(pw * t.x, pack(s)) - 1e-3, pw * t.x, 0.0
+    def constraint(s, h=1e-3):
+        return np.dot(pw * t.x, pack(s)) - h, pw * t.x, 0.0
 
     with pytest.raises(SingularJacobian):
         newton_solve(st, P1, g, constraint=constraint)
+    # with h = 0 the guess is converged; its factorization fails, so it
+    # comes back without an LU
+    res = newton_solve(st, P1, g,
+                       constraint=lambda s: constraint(s, 0.0))
+    assert res.iters == 0 and res.residual_norm == 0.0 and res.lu is None
 
 
 @pytest.mark.parametrize("damage", ["zero_column", "nan"])
@@ -178,7 +219,8 @@ def test_degenerate_jacobian_maps_to_typed_failures(cache, monkeypatch, damage):
     guess = unpack(st.lam, 1.01 * pack(st), g)
     with pytest.raises(SingularJacobian):
         newton_solve(guess, P1, g)
-    assert tangent_and_sigma(lu, g) == (None, 0.0)
+    t_none, sigma = tangent_and_sigma(lu, g)
+    assert t_none is None and np.isnan(sigma)
 
 
 # ------------------------------------------------------------ trace match
@@ -311,19 +353,22 @@ def _counting_band_lu(monkeypatch):
 
 def test_trace_factors_once_per_corrector_iteration(cache, monkeypatch):
     """A default trace does one factorization per corrector iteration and
-    none for the tangent, which is solved on the corrector's last LU: one
-    solve per iteration and per tangent, and no transposed solve.
-    sigma_check adds no factorization, and one transposed and one plain
-    solve per inverse iteration step, at least one step per accepted
-    point."""
+    none for the tangent, which is solved on the corrector's last LU; a
+    point whose prediction already met the tolerance (0 iterations) gets
+    one factorization at the point.  One solve per iteration, one
+    tangent solve per point, and no transposed solve.  sigma_check adds
+    no factorization, and one transposed and one plain solve per inverse
+    iteration step, at least one step per accepted point."""
     g = cache.grid(65)
     counts = _counting_band_lu(monkeypatch)
     br = trace_branch(P1, g, limits={"max_steps": 20})
     accepted = len(br.points) - 1
-    iters = sum(q.diagnostics["newton_iters"] for q in br.points)
+    iters = [q.diagnostics["newton_iters"] for q in br.points[1:]]
     assert br.termination.kind == "MaxSteps" and accepted == 20
     assert all(q.diagnostics["det_sign"] != 0 for q in br.points[1:])
-    assert counts == {"factor": iters, "solve": iters + accepted, "trans": 0}
+    assert 0 in iters and max(iters) == 1
+    assert counts == {"factor": sum(max(it, 1) for it in iters),
+                      "solve": sum(iters) + accepted, "trans": 0}
     assert all("sigma_min" not in q.diagnostics for q in br.points)
 
     plain = dict(counts)

@@ -260,7 +260,7 @@ def test_branch_csv_structure(branch_file):
     lam = np.array([float(row[1]) for row in rows])
     assert np.all(np.abs(lam - 3.574) < 0.05)
     iters = [int(row[6]) for row in rows]
-    assert all(it >= 1 for it in iters)
+    assert all(0 <= it <= 1 for it in iters)
     resid = np.array([float(row[7]) for row in rows])
     assert np.all(resid <= 1e-10)
 

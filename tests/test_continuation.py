@@ -14,8 +14,8 @@ from spark_branch.continuation import (DEFAULT_LIMITS, Branch, BranchPoint,
                                        initial_tangent, arclength_step,
                                        tangent_and_sigma, trace_branch,
                                        state_norm, high_voltage_diagnostic,
-                                       crossing_events, _diagnostics,
-                                       _classify)
+                                       crossing_events, predict,
+                                       _diagnostics, _classify)
 from spark_branch.steady import (NEWTON_TOL, State, pack, pack_weights,
                                  trivial_state)
 
@@ -31,6 +31,11 @@ def _start_point(cache, n):
     lam = cache.spark("(2,3,1)", n).lambda_dagger
     st = trivial_state(lam, g)
     return g, lam, BranchPoint(0.0, st, _diagnostics(st, g, 0, 0.0))
+
+
+def _lone(pt):
+    """arclength_step's path holding pt alone: an Euler step from it."""
+    return [(pt.s, pack(pt.state), pt.state.lam)]
 
 
 def test_initial_tangent_is_normalized_profile_direction(cache):
@@ -51,7 +56,7 @@ def test_first_step_length_and_voltage(cache):
     g, lam, pt0 = _start_point(cache, 129)
     t0 = initial_tangent(lam, cache.triple("(2,3,1)", 129), g)
     for h in (1e-3, 1e-2):
-        pt, h_used, _ = arclength_step(pt0, t0, h, P1, g)
+        pt, h_used, _ = arclength_step(_lone(pt0), t0, h, P1, g)
         assert h_used == h
         # the state leaves along the tangent: the arclength constraint puts
         # its weighted norm at h up to the curvature correction
@@ -73,7 +78,7 @@ def test_parametrization_gap_halves_with_h(cache):
     def state_at(h, steps):
         pt, t = pt0, t0
         for _ in range(steps):
-            pt, _, t = arclength_step(pt, t, h, P1, g)
+            pt, _, t = arclength_step(_lone(pt), t, h, P1, g)
         return pt.state
 
     # one step or two to the same arclength differ only through the
@@ -91,7 +96,7 @@ def test_tangent_continuity_along_first_steps(cache):
     pw = pack_weights(g)
     pt = pt0
     for _ in range(3):
-        pt, _, t_new = arclength_step(pt, t, 1e-3, P1, g)
+        pt, _, t_new = arclength_step(_lone(pt), t, 1e-3, P1, g)
         dot = np.dot(pw * t.x, t_new.x) + t.dlam * t_new.dlam
         assert dot > 0.9
         t = t_new
@@ -102,7 +107,8 @@ def test_step_failure_below_h_min(cache):
     t0 = initial_tangent(lam, cache.triple("(2,3,1)", 129), g)
     # an unreachable corrector tolerance exhausts the halving ladder
     with pytest.raises(StepFailure) as exc:
-        arclength_step(pt0, t0, 1e-3, P1, g, h_min=1e-4, tol=1e-16)
+        arclength_step(_lone(pt0), t0, 1e-3, P1, g, h_min=1e-4,
+                       tol=1e-16)
     assert exc.value.h_last < 1e-4
 
 
@@ -309,13 +315,13 @@ def test_secant_tangent_replaces_a_failed_tangent_solve(cache, monkeypatch):
     step = continuation.arclength_step
     seen = []
 
-    def recording_step(current, tangent, *args, **kwargs):
+    def recording_step(path, tangent, *args, **kwargs):
         seen.append(tangent)
-        return step(current, tangent, *args, **kwargs)
+        return step(path, tangent, *args, **kwargs)
 
     def fails_third(*args, **kwargs):
         if len(seen) == 3:
-            return None, 0.0
+            return None, np.nan
         return good(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "arclength_step", recording_step)
@@ -351,7 +357,7 @@ def test_det_sign_flip_across_a_secant_fallback_is_a_branch_point(
     def fallback_then_flip(*args, **kwargs):
         calls.append(None)
         if len(calls) == 3:
-            return None, 0.0
+            return None, np.nan
         t, sigma = good(*args, **kwargs)
         if len(calls) >= 4:
             t.det_sign = -t.det_sign
@@ -400,6 +406,118 @@ def test_failed_sigma_iteration_is_nan_and_no_bifurcation_warning(
     assert [q.s for q in br.points] == [q.s for q in plain.points]
 
 
+def test_point_without_bordered_lu_records_nan_sigma_and_says_so(
+        cache, monkeypatch):
+    """A point whose corrector returns no LU (a failed factorization)
+    takes the secant: det_sign 0, sigma_min NaN, never 0.0, and a
+    warning of its own rather than a possible secondary bifurcation."""
+    g = cache.grid(65)
+    good = continuation.newton_solve
+    calls = []
+
+    def loses_third_lu(*args, **kwargs):
+        res = good(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            res.lu = None
+        return res
+
+    monkeypatch.setattr(continuation, "newton_solve", loses_third_lu)
+    br = trace_branch(P1, g, limits={"max_steps": 6}, sigma_check=True)
+    d = br.points[3].diagnostics
+    assert d["det_sign"] == 0 and np.isnan(d["sigma_min"])
+    assert br.warnings == [f"no tangent solve at s={br.points[3].s:.6f}: "
+                           f"sigma_min not computed (secant tangent)"]
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7])
+def test_converged_predictions_keep_tangent_and_sigma(cache, tol):
+    """At a loose tolerance many predictions of a (2,3,1) n=129 trace
+    already meet it.  Each such point is factored at the point itself,
+    so every point has a bordered LU: a det_sign, a sigma_min well clear
+    of SIGMA_WARN, and no warning.  (Without that LU, six points of the
+    1e-6 trace took the secant fallback and recorded sigma_min = 0.0 with
+    a "possible secondary bifurcation" warning.)  The departure step
+    still takes a Newton step: an Euler guess left at lambda_dagger
+    within tol made the extrapolations through it overshoot lambda and
+    report two spurious folds near s = 0.003 to 0.02."""
+    br = trace_branch(P1, cache.grid(129), limits={"max_steps": 30},
+                      tol=tol, sigma_check=True)
+    pts = br.points[1:]
+    assert len(pts) == 30
+    assert pts[0].diagnostics["newton_iters"] >= 1
+    assert sum(q.diagnostics["newton_iters"] == 0 for q in pts) >= 6
+    assert br.events == []
+    assert all(q.diagnostics["det_sign"] != 0 for q in pts)
+    assert min(q.diagnostics["sigma_min"] for q in pts) \
+        >= continuation.SIGMA_WARN
+    assert br.warnings == []
+
+
+def test_predictor_extrapolates_a_quadratic_path_exactly():
+    """predict is Euler along the tangent from a lone point, the secant
+    through two points, and the Lagrange quadratic through the last
+    three: a path quadratic in s, sampled with unequal spacing, is
+    reproduced to rounding, and the oldest of four points is not read."""
+    rng = np.random.default_rng(5)
+    a, b, c = rng.standard_normal((3, 40))
+
+    def at(s):
+        return s, a + s * b + s * s * c, 3.5 - 0.2 * s + 0.7 * s * s
+
+    h = 0.13
+    path = [(0.1, np.full(40, np.nan), np.nan)] + \
+        [at(s) for s in (0.3, 0.37, 0.52)]
+    _, x_ref, lam_ref = at(0.52 + h)
+    x, lam = predict(path, None, h)
+    assert np.abs(x - x_ref).max() <= 1e-14 * np.abs(x_ref).max()
+    assert abs(lam - lam_ref) <= 1e-14 * abs(lam_ref)
+
+    (s0, x0, l0), (s1, x1, l1) = path[2:]
+    x, lam = predict(path[2:], None, h)
+    w = h / (s1 - s0)
+    assert np.abs(x - (x1 + w * (x1 - x0))).max() <= 1e-14 * np.abs(x).max()
+    assert lam == pytest.approx(l1 + w * (l1 - l0), rel=1e-15)
+
+    t = continuation.Tangent(rng.standard_normal(40), 0.25)
+    x, lam = predict(path[-1:], t, h)
+    assert np.array_equal(x, path[-1][1] + h * t.x)
+    assert lam == path[-1][2] + h * t.dlam
+
+
+def test_trace_predicts_euler_then_secant_then_quadratic(cache, monkeypatch):
+    """The guesses handed to the corrector: step 1 is Euler along the
+    departure tangent, step 2 the secant through points 0 and 1, and
+    later steps the quadratic through the last three points."""
+    g = cache.grid(65)
+    guesses = []
+    newton = continuation.newton_solve
+
+    def recording(guess, *args, **kwargs):
+        guesses.append(guess)
+        return newton(guess, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", recording)
+    br = trace_branch(P1, g, limits={"max_steps": 5})
+    assert len(guesses) == 5
+    s = [q.s for q in br.points]
+    x = [pack(q.state) for q in br.points]
+    lam = [q.state.lam for q in br.points]
+    t0 = initial_tangent(br.lambda_dagger, cache.triple("(2,3,1)", 65), g)
+    assert np.array_equal(pack(guesses[0]), s[1] * t0.x)
+    assert guesses[0].lam == br.lambda_dagger
+    w = (s[2] - s[1]) / (s[1] - s[0])
+    assert np.allclose(pack(guesses[1]), x[1] + w * (x[1] - x[0]),
+                       rtol=1e-13, atol=0.0)
+    assert guesses[1].lam == pytest.approx(lam[1] + w * (lam[1] - lam[0]),
+                                           rel=1e-15)
+    for k in range(2, 5):
+        nodes = list(zip(s, x, lam))[k - 2:k + 1]
+        x_k, lam_k = predict(nodes, None, s[k + 1] - s[k])
+        assert np.array_equal(pack(guesses[k]), x_k)
+        assert guesses[k].lam == lam_k
+
+
 @pytest.fixture(scope="module")
 def plain129(cache):
     """Default (no sigma_check) 400-step traces at n=129, per frozen set."""
@@ -444,9 +562,9 @@ def _trace_factoring_at_accepted_points(p, grid, monkeypatch, **kwargs):
     seen = {}
     step, newton = continuation.arclength_step, continuation.newton_solve
 
-    def recording_step(current, tangent, *args, **kw):
+    def recording_step(path, tangent, *args, **kw):
         seen["tangent"] = tangent
-        return step(current, tangent, *args, **kw)
+        return step(path, tangent, *args, **kw)
 
     def recording_newton(*args, **kw):
         res = newton(*args, **kw)
@@ -469,16 +587,18 @@ def test_tangent_from_corrector_lu_matches_accepted_point_lu(cache, key,
     """The corrector's last LU is formed one Newton step before the
     accepted point, so its tangent and sigma_min differ from those of an
     LU at the point by the size of that step: largest right after
-    departure, where J is nearly singular, and O(h^2) (the Euler
-    predictor's error) once the corrector converges in one iteration.
-    The first step's corrector converges in one iteration, so point 1's
-    tangent comes from an LU at the predictor (h phi, lambda_dagger),
-    whose lambda component is twice the branch's slope (0.0479 against
-    0.0240 at (2,3,1)).  Over 120 steps at n=129 the steps, det_sign
-    and events agree exactly and lambda to 5e-8.  Measured maxima,
-    points 1-10 / 11-120: lambda 1.9e-8 over all points, |dt_lambda|
-    3.0e-2 / 5.6e-7 (t_lambda is a component of a unit vector, about
-    0.01-0.06 here), sigma_min 5.4e-2 / 2.2e-5 relative."""
+    departure, where J is nearly singular, and the extrapolating
+    predictor's O(h^3) error once the corrector converges in one
+    iteration; a point whose prediction met the tolerance is factored
+    at the point itself.  The first step's corrector converges in one
+    iteration, so point 1's tangent comes from an LU at the Euler
+    predictor (h phi, lambda_dagger), whose lambda component is twice
+    the branch's slope (0.0479 against 0.0240 at (2,3,1)).  Over 120
+    steps at n=129 the steps, det_sign and events agree exactly and
+    lambda to 5e-8.  Measured maxima, points 1-10 / 11-120: lambda
+    2.4e-8 over all points, |dt_lambda| 3.0e-2 / 2.0e-7 (t_lambda is a
+    component of a unit vector, about 0.01-0.06 here), sigma_min
+    5.2e-2 / 2.1e-5 relative."""
     p, g = PARAMS[key], cache.grid(129)
     kwargs = dict(limits={"max_steps": 120}, sigma_check=True)
     new = trace_branch(p, g, **kwargs)
@@ -492,7 +612,7 @@ def test_tangent_from_corrector_lu_matches_accepted_point_lu(cache, key,
                     for a, b in zip(new.points, ref.points)])
     assert np.abs(lam[:, 0] - lam[:, 1]).max() <= 5e-8
     for span, t_tol, sigma_rtol in ((slice(1, 11), 5e-2, 1e-1),
-                                    (slice(11, None), 2e-6, 1e-4)):
+                                    (slice(11, None), 5e-7, 1e-4)):
         a = [q.diagnostics for q in new.points[span]]
         b = [q.diagnostics for q in ref.points[span]]
         assert max(abs(x["t_lambda"] - y["t_lambda"])
@@ -509,11 +629,11 @@ def test_voltage_capped_traces_stay_clear_of_slow_correctors(n, cap_offset,
     """(2,3,gamma) traced to lambda_dagger + cap_offset, at the two ends
     and the middle of gamma in [0.8, 1.25]: the trace ends VoltageBlowup
     at the first point past the cap, and every point before it is
-    positive, converged to NEWTON_TOL and corrected in at most 2
-    iterations.  A slower corrector below the cap means the cap has run
-    into the tolerance artifact at the branch end; the tangent's LU
-    moving one Newton step back shrinks that margin most at n=2049 and
-    gamma=0.8."""
+    positive, converged to NEWTON_TOL and corrected in at most 1
+    iteration, the extrapolating predictor's error being O(h^3).  A
+    slower corrector below the cap means the cap has run into the
+    tolerance artifact at the branch end; the tangent's LU moving one
+    Newton step back shrinks that margin most at n=2049 and gamma=0.8."""
     p, g = Parameters(2.0, 3.0, gamma), RadialGrid(n)
     cap = sparking_voltage(p, g).lambda_dagger + cap_offset
     br = trace_branch(p, g, limits={"lambda_cap": cap})
@@ -523,4 +643,4 @@ def test_voltage_capped_traces_stay_clear_of_slow_correctors(n, cap_offset,
     for q in pts[1:]:
         d = q.diagnostics
         assert d["positive"] and d["residual_norm"] <= NEWTON_TOL
-        assert d["newton_iters"] <= 2, (q.s, q.state.lam, d["newton_iters"])
+        assert d["newton_iters"] <= 1, (q.s, q.state.lam, d["newton_iters"])
